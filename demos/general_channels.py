@@ -16,7 +16,7 @@ from randual.channels import (
     stinespring_dilate,
     validate_channel,
 )
-from randual.dual import dual_estimate, dual_from_choi, general_dual_ensemble
+from randual.dual import dual_ensemble, dual_estimate, dual_from_choi
 from randual.linalg import hs_distance, sigma_x, sigma_y, sigma_z
 
 
@@ -39,7 +39,7 @@ def main():
     exact = dual_from_choi(choi_matrix(ch))
     print(f"\n{'N':>6} {'hs to exact dual':>17} {'1/sqrt(N)':>10} {'mean |Phi|^2':>13}")
     for n in (100, 1000, 10000):
-        ens = general_dual_ensemble(ch, n, master_seed=9)
+        ens = dual_ensemble(ch, n, master_seed=9)
         est = dual_estimate(ens)
         sq = float(np.mean(np.sum(np.abs(ens.states) ** 2, axis=1)))
         print(f"{n:6d} {hs_distance(est, exact):17.5f} {1 / np.sqrt(n):10.5f} {sq:13.5f}")

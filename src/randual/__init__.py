@@ -21,7 +21,7 @@ del _os, _threads
 
 __version__ = "0.1.0"
 
-from . import channels, cli, dual, linalg, otoc, rng, spinchain
+from . import channels, dual, linalg, otoc, rng, spinchain
 from .channels import (
     ChannelDiagnostics,
     ChoiMatrix,
@@ -46,6 +46,7 @@ from .dual import (
     DualStateEnsemble,
     EstimatorReport,
     distance_report,
+    distance_table,
     dual_ensemble,
     dual_estimate,
     dual_from_choi,
@@ -53,7 +54,6 @@ from .dual import (
     estimate_observable,
     exact_dual,
     exact_dual_state,
-    general_dual_ensemble,
     rank1_variance_bound,
     sample_dual_state,
     sample_values,
@@ -65,7 +65,6 @@ from .spinchain import (
     IsingConfig,
     ThermalizationRun,
     distance_scaling_experiment,
-    evolve_unitary,
     ising_hamiltonian,
     thermalization_experiment,
 )

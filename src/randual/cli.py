@@ -17,7 +17,7 @@ command, resolved config, seed, library version and sha256 of every file.
 Outputs are deterministic per seed; the manifest's wall_clock_s field is
 the one value that varies between identical runs. CSV floats use 17
 significant digits, JSON floats shortest round-trip decimals; both parse
-back to the exact binary value.
+back to the exact binary value. Non-finite JSON floats are written as null.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -32,23 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import (
-    UnitaryChannel,
-    _matrix_from_json,
-    dilation_dim,
-    load_channel,
-    validate_channel,
-)
-from .dual import (
-    KIND_UNITARY,
-    distance_report,
-    dual_ensemble,
-    estimate_observable,
-    exact_dual,
-    general_dual_ensemble,
-)
+from .channels import _matrix_from_json, dilation_dim, load_channel, validate_channel
+from .dual import distance_table, dual_ensemble, estimate_observable
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
-from .rng import child_seed
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
@@ -92,9 +79,20 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(obj), f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -203,15 +201,16 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _require_at_least(value: int, minimum: int, flag: str) -> None:
     if value < minimum:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
-
-
-def _ensemble_for(ch, n_samples: int, seed: int):
-    if isinstance(ch, UnitaryChannel):
-        return dual_ensemble(ch, n_samples, seed)
-    return general_dual_ensemble(ch, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +258,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     _check_dilation_cap(ch, args.force)
     a = _load_observable(args.observable_a)
     b = _load_observable(args.observable_b)
-    ens = _ensemble_for(ch, args.n_samples, args.seed)
+    ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
     out = {
         "estimate": rep.estimate,
@@ -282,21 +281,7 @@ def cmd_dual_distance(args: argparse.Namespace) -> int:
     ch = _load_channel(args.channel)
     _check_channel(ch)
     _check_dilation_cap(ch, args.force)
-    exact = exact_dual(ch)
-    rows = []
-    for i, n_samples in enumerate(args.n_values):
-        for trial in range(args.trials):
-            ens = _ensemble_for(ch, n_samples, child_seed(args.seed, i, trial))
-            rep = distance_report(ens, exact)
-            rows.append(
-                {
-                    "N": n_samples,
-                    "trial": trial,
-                    "hs_distance": rep.hs_distance,
-                    "trace_distance": rep.trace_distance,
-                    "bound": rep.bound,
-                }
-            )
+    rows = distance_table(ch, args.n_values, args.trials, args.seed)
     outdir = _outdir(args)
     path = outdir / "distances.csv"
     _write_csv(path, DISTANCE_COLUMNS, rows)
@@ -394,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, output_dir: str | None = ".") -> None:
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (default 0)")
         p.add_argument(
             "--output-dir",
             default=output_dir,

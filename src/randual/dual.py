@@ -28,10 +28,11 @@ expectation, independent of dimension. Observables never need the matrix
 estimator: the per-sample values x_k = d_a <Psi_k|(B^t (x) A)|Psi_k> average
 to tr[X(A) B] with a variance that carries its own computable bound.
 
-General channels go through a unitary dilation. Sampling the dilated
-unitary's dual and projecting the dilation ancilla of the input copy onto
-its reference vector (with a compensating sqrt factor) yields states that
-are normalized only in expectation but whose mean is again the exact dual.
+dual_ensemble samples every channel kind. General channels go through a
+unitary dilation: sampling the dilated unitary's dual and projecting the
+dilation ancilla of the input copy onto its reference vector (with a
+compensating sqrt factor) yields states that are normalized only in
+expectation but whose mean is again the exact dual.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .channels import (
     stinespring_dilate,
 )
 from .linalg import assert_hermitian, hs_distance, trace_distance
-from .rng import SeedSpec, haar_state
+from .rng import SeedSpec, child_seed, haar_state
 
 # A^2 = A and tr A = 1 are enforced to this tolerance in rank1_variance_bound.
 PROJECTOR_ATOL = 1e-10
@@ -146,43 +147,34 @@ def sample_dual_state(ch: UnitaryChannel, seed: SeedSpec | int) -> np.ndarray:
     return _batch_states(ch.unitary, ch.d_b, psi[np.newaxis, :])[0]
 
 
-def dual_ensemble(ch: UnitaryChannel, n_samples: int, master_seed: int) -> DualStateEnsemble:
-    """N independent dual states; sample k is seeded by (master_seed, k).
+def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEnsemble:
+    """N independent dual states of any channel; sample k is seeded by (master_seed, k).
 
-    Per-sample seeding makes every row reproducible in isolation:
+    A unitary-induced channel gives unit rows, and
     sample_dual_state(ch, SeedSpec(master_seed, k)) equals row k bitwise.
-    """
-    ch = _require_unitary_kind(ch)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    psis = np.empty((n_samples, ch.d_c), dtype=complex)
-    for k in range(n_samples):
-        psis[k] = haar_state(ch.d_c, SeedSpec(master_seed, k).rng())
-    states = _batch_states(ch.unitary, ch.d_b, psis)
-    return DualStateEnsemble(states, master_seed, ch, KIND_UNITARY, ch.d_a, ch.d_b)
-
-
-def general_dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEnsemble:
-    """Random dual states of a general channel via its unitary dilation.
-
-    Each sample draws the dual state of the dilated unitary and keeps the
-    component with the dilation ancilla in its reference vector, scaled by
-    sqrt(ancilla dim) so norms are 1 in expectation. The ensemble mean
-    converges to exact_dual(ch). A unitary-induced channel has a trivial
-    dilation, so its rows coincide bitwise with dual_ensemble's.
+    Any other channel goes through its unitary dilation: each sample draws
+    the dilated unitary's dual state and keeps the component with the
+    dilation ancilla in its reference vector, scaled by sqrt(ancilla dim) so
+    norms are 1 in expectation. The ensemble mean converges to
+    exact_dual(ch). A trivial dilation (ancilla dim 1) gives the same rows
+    bitwise as the unitary-induced channel it dilates.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    dil = stinespring_dilate(ch)
-    d_a, d_b, nu = dil.d_a, dil.d_b, dil.ancilla_dim
-    d_env = dil.env_dim
+    if isinstance(ch, UnitaryChannel):
+        u, d_a, d_b, nu, kind = ch.unitary, ch.d_a, ch.d_b, 1, KIND_UNITARY
+    else:
+        dil = stinespring_dilate(ch)
+        u, d_a, d_b, nu, kind = dil.unitary, dil.d_a, dil.d_b, dil.ancilla_dim, KIND_POSTSELECTED
+    d_env = u.shape[0] // d_b
     psis = np.empty((n_samples, d_env), dtype=complex)
     for k in range(n_samples):
         psis[k] = haar_state(d_env, SeedSpec(master_seed, k).rng())
-    big = _batch_states(dil.unitary, d_b, psis).reshape(n_samples, d_b, d_a, nu)
-    states = np.ascontiguousarray(big[:, :, :, 0]) * np.sqrt(nu)
+    states = _batch_states(u, d_b, psis).reshape(n_samples, d_b, d_a, nu)[..., 0]
+    if nu > 1:
+        states = states * np.sqrt(nu)
     return DualStateEnsemble(
-        states.reshape(n_samples, d_b * d_a), master_seed, ch, KIND_POSTSELECTED, d_a, d_b
+        states.reshape(n_samples, d_b * d_a), master_seed, ch, kind, d_a, d_b
     )
 
 
@@ -354,3 +346,33 @@ def distance_report(ens: DualStateEnsemble, exact: np.ndarray | None = None) -> 
         bound=float(1.0 / np.sqrt(ens.n_samples)),
         n_samples=ens.n_samples,
     )
+
+
+def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> list[dict]:
+    """Estimator-to-exact-dual distances across ensemble sizes.
+
+    Each (N, trial) cell draws a fresh ensemble seeded by
+    child_seed(seed, N index, trial) and measures it against one exact dual;
+    rows carry N, trial, hs_distance, trace_distance and the 1/sqrt(N) mean
+    bound.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    n_values = [int(n) for n in n_values]
+    if not n_values or min(n_values) < 1:
+        raise ValueError("n_values must be positive sample counts")
+    exact = exact_dual(ch)
+    rows = []
+    for i, n_samples in enumerate(n_values):
+        for trial in range(trials):
+            rep = distance_report(dual_ensemble(ch, n_samples, child_seed(seed, i, trial)), exact)
+            rows.append(
+                {
+                    "N": n_samples,
+                    "trial": trial,
+                    "hs_distance": rep.hs_distance,
+                    "trace_distance": rep.trace_distance,
+                    "bound": rep.bound,
+                }
+            )
+    return rows

@@ -28,16 +28,6 @@ def kron(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def transpose(m: np.ndarray) -> np.ndarray:
-    """Transpose in the computational basis."""
-    return np.asarray(m).T
-
-
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def assert_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> None:
     """Raise ValueError unless m is square and Hermitian within atol."""
     m = np.asarray(m)

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import UnitaryChannel
-from .dual import DualStateEnsemble, EstimatorReport
+from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport
 from .linalg import assert_hermitian, partial_trace
-
-PROJECTOR_ATOL = 1e-10
 
 #: chunk height for the all-pairs overlap matrix, bounds memory at ~chunk*N
 _ALL_PAIRS_CHUNK = 512

@@ -28,14 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DilatedChannel, UnitaryChannel
-from .dual import (
-    distance_report,
-    dual_ensemble,
-    estimate_observable,
-    exact_dual,
-    exact_dual_state,
-    general_dual_ensemble,
-)
+from .dual import distance_table, dual_ensemble, estimate_observable
 from .linalg import evolution_from_eig, hermitian_eig, kron, sigma_y, sigma_z, unitary_evolution
 from .rng import child_seed
 
@@ -132,11 +125,6 @@ def ising_hamiltonian(n: int, g: float, h: float, max_sites: int = DEFAULT_MAX_S
     return ham
 
 
-def evolve_unitary(ham: np.ndarray, t: float) -> np.ndarray:
-    """U(t) = exp(-i H t) for Hermitian H."""
-    return unitary_evolution(ham, t)
-
-
 def polarized_state(n: int, axis: str) -> np.ndarray:
     """Product state fully polarized along +z or +y.
 
@@ -206,41 +194,16 @@ def distance_scaling_experiment(
     spins. With n_a = n the channel is unitary-induced; with n_a < n the
     input is restricted to the first n_a spins (the rest start in |0>) and
     sampling goes through the dilated path with unnormalized post-selected
-    states. Each (N, trial) cell draws a fresh ensemble seeded by
-    (seed, N index, trial); rows carry N, trial, hs_distance,
-    trace_distance and the 1/sqrt(N) mean bound.
+    states. Rows and seeding are those of dual.distance_table.
     """
     if not 1 <= n_b <= n:
         raise ValueError(f"need 1 <= n_b <= n, got n_b={n_b}, n={n}")
     if not 1 <= n_a <= n:
         raise ValueError(f"need 1 <= n_a <= n, got n_a={n_a}, n={n}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    n_values = [int(nn) for nn in n_values]
-    if not n_values or min(n_values) < 1:
-        raise ValueError("n_values must be positive sample counts")
     ham = ising_hamiltonian(n, g, h, max_sites=max_sites)
     u = unitary_evolution(ham, t)
     if n_a == n:
         ch = UnitaryChannel(u, d_b=2**n_b)
-        exact = exact_dual_state(ch)
-        build = dual_ensemble
     else:
         ch = DilatedChannel(u, d_a=2**n_a, d_b=2**n_b)
-        exact = exact_dual(ch)
-        build = general_dual_ensemble
-    rows = []
-    for i, n_samples in enumerate(n_values):
-        for trial in range(trials):
-            ens = build(ch, n_samples, child_seed(seed, i, trial))
-            rep = distance_report(ens, exact)
-            rows.append(
-                {
-                    "N": n_samples,
-                    "trial": trial,
-                    "hs_distance": rep.hs_distance,
-                    "trace_distance": rep.trace_distance,
-                    "bound": rep.bound,
-                }
-            )
-    return rows
+    return distance_table(ch, n_values, trials, seed)

@@ -28,7 +28,6 @@ from randual.dual import (
     estimate_observable,
     exact_dual,
     exact_dual_state,
-    general_dual_ensemble,
     rank1_variance_bound,
     sample_values,
     variance_bound,
@@ -299,7 +298,7 @@ def test_criterion_8_channel_machinery():
     exact = dual_from_choi(choi_matrix(depol))
     # the 1/sqrt(N) bound is on the mean distance: average over ensembles
     dists = [
-        hs_distance(dual_estimate(general_dual_ensemble(depol, n, master_seed=908 + t)), exact)
+        hs_distance(dual_estimate(dual_ensemble(depol, n, master_seed=908 + t)), exact)
         for t in range(20)
     ]
     mean_dist = float(np.mean(dists))

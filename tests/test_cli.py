@@ -203,6 +203,60 @@ def test_otoc_command(scrambler, tmp_path):
     assert abs(data["estimate"] - data["exact"]) <= 5 * data["sigma"]
 
 
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_single_sample_estimate_writes_null_sigma(scrambler, tmp_path):
+    res = run_cli(
+        [
+            "estimate",
+            scrambler,
+            "--observable-a",
+            mat_json(np.diag([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])),
+            "--observable-b",
+            SIGMA_Z_JSON,
+            "--n-samples",
+            "1",
+            "--output-dir",
+            "out",
+        ],
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    data = _strict_json(tmp_path / "out" / "estimate.json")
+    assert data["empirical_sigma"] is None
+    assert np.isfinite(data["sigma_n"])
+
+
+def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):
+    res = run_cli(
+        [
+            "otoc",
+            scrambler,
+            "--observable-a",
+            mat_json(np.diag([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0])),
+            "--observable-b",
+            PROJ0_JSON,
+            "--pairs",
+            "50",
+            "--pairing",
+            "all",
+            "--output-dir",
+            "out",
+        ],
+        cwd=tmp_path,
+    )
+    assert res.returncode == 0, res.stderr
+    data = _strict_json(tmp_path / "out" / "otoc.json")
+    assert data["sigma"] is None
+    assert np.isfinite(data["estimate"])
+    _strict_json(tmp_path / "out" / "manifest.json")
+
+
 def test_otoc_rejects_nonprojector_b(scrambler, tmp_path):
     res = run_cli(
         [
@@ -319,7 +373,8 @@ def test_scaling_command(tmp_path):
 
 
 def test_usage_errors(tmp_path):
-    for args in ([], ["frobnicate"]):
+    negative_seed = ["thermalize", "--n", "3", "--pol", "z", "--seed", "-1"]
+    for args in ([], ["frobnicate"], negative_seed):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1
         assert "config error" in res.stderr

@@ -2,12 +2,20 @@
 import numpy as np
 import pytest
 
-from randual.channels import UnitaryChannel, apply_channel, choi_matrix
+from randual.channels import (
+    DilatedChannel,
+    KrausChannel,
+    UnitaryChannel,
+    apply_channel,
+    choi_matrix,
+    stinespring_dilate,
+)
 from randual.dual import (
     KIND_POSTSELECTED,
     KIND_UNITARY,
     DualStateEnsemble,
     distance_report,
+    distance_table,
     dual_ensemble,
     dual_estimate,
     dual_from_choi,
@@ -15,14 +23,13 @@ from randual.dual import (
     estimate_observable,
     exact_dual,
     exact_dual_state,
-    general_dual_ensemble,
     rank1_variance_bound,
     sample_dual_state,
     sample_values,
     variance_bound,
 )
 from randual.linalg import hs_distance, kron, max_entangled_state, partial_trace
-from randual.rng import SeedSpec
+from randual.rng import SeedSpec, child_seed
 
 from helpers import (
     amplitude_damping,
@@ -282,15 +289,16 @@ def test_estimator_rank_is_at_most_n():
 def test_general_ensemble_trivial_dilation_matches_unitary_path():
     ch = random_unitary_channel(8, 2, np.random.default_rng(16))
     direct = dual_ensemble(ch, 5, master_seed=21)
-    via_dilation = general_dual_ensemble(ch, 5, master_seed=21)
+    via_dilation = dual_ensemble(stinespring_dilate(ch), 5, master_seed=21)
     assert np.array_equal(direct.states, via_dilation.states)
+    assert direct.kind == KIND_UNITARY
     assert via_dilation.kind == KIND_POSTSELECTED
 
 
 def test_general_ensemble_converges_to_exact_dual():
     ch = depolarizing(0.6)
     n = 4000
-    ens = general_dual_ensemble(ch, n, master_seed=22)
+    ens = dual_ensemble(ch, n, master_seed=22)
     est = dual_estimate(ens)
     # postselected rows are normalized in expectation only
     sqnorms = np.sum(np.abs(ens.states) ** 2, axis=1)
@@ -307,10 +315,41 @@ def test_ensemble_construction_checks():
     ch = random_unitary_channel(4, 2, np.random.default_rng(17))
     with pytest.raises(ValueError):
         dual_ensemble(ch, 0, master_seed=1)
-    with pytest.raises(TypeError):
-        dual_ensemble(depolarizing(0.1), 3, master_seed=1)
+    assert dual_ensemble(depolarizing(0.1), 3, master_seed=1).kind == KIND_POSTSELECTED
     states = dual_ensemble(ch, 2, master_seed=1).states
     with pytest.raises(ValueError):
         DualStateEnsemble(states, 1, ch, "mystery_kind", 4, 2)
     with pytest.raises(ValueError):
         DualStateEnsemble(states[:, :4], 1, ch, "unitary_induced", 4, 2)
+
+
+@pytest.mark.parametrize("kind", [UnitaryChannel, DilatedChannel, KrausChannel])
+def test_ensemble_prefix_property_every_channel_kind(kind):
+    unitary = random_unitary_channel(8, 2, np.random.default_rng(18))
+    ch = {
+        UnitaryChannel: unitary,
+        DilatedChannel: DilatedChannel(unitary.unitary, d_a=4, d_b=2),
+        KrausChannel: amplitude_damping(0.3),
+    }[kind]
+    short = dual_ensemble(ch, 7, master_seed=23)
+    long = dual_ensemble(ch, 7 + 5, master_seed=23)
+    assert np.array_equal(short.states, long.states[:7])
+    want = KIND_UNITARY if kind is UnitaryChannel else KIND_POSTSELECTED
+    assert short.kind == long.kind == want
+
+
+def test_distance_table_cells_and_checks():
+    ch = amplitude_damping(0.3)
+    rows = distance_table(ch, [4, 9], trials=2, seed=24)
+    assert [(r["N"], r["trial"]) for r in rows] == [(4, 0), (4, 1), (9, 0), (9, 1)]
+    exact = exact_dual(ch)
+    for i, n in enumerate([4, 9]):
+        for trial in range(2):
+            rep = distance_report(dual_ensemble(ch, n, child_seed(24, i, trial)), exact)
+            row = rows[2 * i + trial]
+            assert row["hs_distance"] == rep.hs_distance
+            assert row["trace_distance"] == rep.trace_distance
+            assert row["bound"] == rep.bound
+    for n_values, trials in (([4], 0), ([], 1), ([0], 1)):
+        with pytest.raises(ValueError):
+            distance_table(ch, n_values, trials, seed=24)

@@ -4,14 +4,13 @@ import pytest
 
 from randual.channels import UnitaryChannel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual_state
-from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z
+from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
     IsingConfig,
     ResourceCapError,
     ThermalizationRun,
     default_time_grid,
     distance_scaling_experiment,
-    evolve_unitary,
     ising_hamiltonian,
     polarized_state,
     thermalization_experiment,
@@ -65,11 +64,11 @@ def test_spectrum_symmetric_without_longitudinal_field():
 
 def test_evolution_unitarity_and_energy_conservation():
     ham = ising_hamiltonian(3, 1.05, 0.5)
-    assert np.allclose(evolve_unitary(ham, 0.0), np.eye(8), atol=1e-12)
+    assert np.allclose(unitary_evolution(ham, 0.0), np.eye(8), atol=1e-12)
     psi = polarized_state(3, "y")
     e0 = (psi.conj() @ ham @ psi).real
     for t in (0.7, 2.3):
-        u = evolve_unitary(ham, t)
+        u = unitary_evolution(ham, t)
         assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
         pt = u @ psi
         assert np.isclose((pt.conj() @ ham @ pt).real, e0, atol=1e-9)
@@ -212,7 +211,7 @@ def test_mean_squared_distance_chain_channel():
     # n = 6 sites, one output spin, so the conserved dimension is d_c = 32
     # and the mean squared distance should land on (1/N)(1 - 1/32).
     ham = ising_hamiltonian(6, 1.05, 0.5)
-    u = evolve_unitary(ham, 1.0)
+    u = unitary_evolution(ham, 1.0)
     ch = UnitaryChannel(u, d_b=2)
     exact = exact_dual_state(ch)
     n = 50

@@ -365,6 +365,8 @@ def _matrix_from_json(rows: list) -> np.ndarray:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     if arr.ndim != 2:
         raise ValueError("matrix entries must form a rectangular table")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
     return arr
 
 

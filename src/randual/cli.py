@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 1 config error (bad flags, unreadable inputs),
 2 validation failure (well-formed inputs that fail the math's checks),
-3 resource cap (size refused without --force).
+3 resource cap (an array over MAX_UNFORCED_BYTES, refused without --force).
+Every subcommand checks in that order: config, then budget, then validation.
 
 File outputs land in --output-dir next to a manifest.json recording the
 command, resolved config, seed, library version and sha256 of every file.
@@ -28,6 +29,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +41,6 @@ from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
-    DEFAULT_MAX_SITES,
-    ResourceCapError,
     IsingConfig,
     ThermalizationRun,
     distance_scaling_experiment,
@@ -52,7 +52,8 @@ EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 
-MAX_DILATION_UNFORCED = 8192
+# one 4096 x 4096 complex matrix: the dense operators of a 12-site chain
+MAX_UNFORCED_BYTES = 2**28
 
 DISTANCE_COLUMNS = ["N", "trial", "hs_distance", "trace_distance", "bound"]
 THERMALIZE_COLUMNS = ["time", "exact", "estimate", "sigma_n", "bound"]
@@ -64,6 +65,10 @@ class ConfigError(Exception):
 
 class ValidationFailure(Exception):
     """Inputs parsed but failed a mathematical check; maps to exit code 2."""
+
+
+class ResourceCapError(Exception):
+    """A request over the memory budget without --force; maps to exit code 3."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,41 +141,38 @@ def _load_channel(path: str):
         raise ConfigError(f"bad channel spec {path}: {exc}") from exc
 
 
-def _check_channel(ch) -> None:
-    diag = validate_channel(ch)
+def _require_valid(diag) -> None:
     if not diag.is_valid:
+        unitarity = diag.unitarity_residual
         raise ValidationFailure(
             f"channel fails validation: tp_residual={diag.tp_residual:.3e}, "
             f"choi_min_eigenvalue={diag.choi_min_eigenvalue:.3e}"
-            + (
-                f", unitarity_residual={diag.unitarity_residual:.3e}"
-                if diag.unitarity_residual is not None
-                else ""
-            )
+            + ("" if unitarity is None else f", unitarity_residual={unitarity:.3e}")
         )
 
 
-def _check_dilation_cap(ch, force: bool) -> None:
+def _check_budget(force: bool, **elements: int) -> None:
+    """Refuse, unless forced, a command whose largest array exceeds MAX_UNFORCED_BYTES.
+
+    elements names each array the command is about to allocate with its
+    element count, an exact int priced at 16 bytes (complex128). The size is
+    printed as a power of two: a huge int overflows a float.
+    """
+    name, count = max(elements.items(), key=lambda item: item[1])
+    if 16 * count > MAX_UNFORCED_BYTES and not force:
+        raise ResourceCapError(
+            f"the {name.replace('_', ' ')} needs 2^{math.log2(16 * count):.1f} bytes, "
+            f"which exceeds the budget of 2^{math.log2(MAX_UNFORCED_BYTES):.0f} bytes; "
+            "pass --force to proceed"
+        )
+
+
+def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
+    # dense: Choi matrix, dilation, exact dual, estimator, otoc's kron(B^t, A);
+    # rows: the sampled dual states before the dilation ancilla is sliced off
     d_u = dilation_dim(ch)
-    if d_u > MAX_DILATION_UNFORCED and not force:
-        need = d_u * d_u * 16 / 2**20
-        raise ResourceCapError(
-            f"dilated unitary dimension {d_u} exceeds {MAX_DILATION_UNFORCED} "
-            f"(one dense complex matrix at this size is {need:.0f} MiB); "
-            f"pass --force to proceed"
-        )
-
-
-def _check_sites_cap(n: int, force: bool) -> int:
-    """Returns the max_sites budget to hand the library."""
-    if n > DEFAULT_MAX_SITES and not force:
-        need = (2**n) ** 2 * 16 / 2**20
-        raise ResourceCapError(
-            f"n={n} exceeds {DEFAULT_MAX_SITES} sites "
-            f"(one dense complex matrix at this size is {need:.0f} MiB); "
-            f"pass --force to proceed"
-        )
-    return max(n, DEFAULT_MAX_SITES)
+    dense = max(d_u, ch.d_a * ch.d_b)
+    return {"dense_matrix": dense * dense, "state_rows": n_rows * ch.d_b * d_u}
 
 
 def _load_observable(text: str) -> np.ndarray:
@@ -208,6 +210,13 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _require_at_least(value: int, minimum: int, flag: str) -> None:
     if value < minimum:
         raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
@@ -221,6 +230,7 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
 def cmd_inspect(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     ch = _load_channel(args.channel)
+    _check_budget(args.force, **_channel_elements(ch))
     diag = validate_channel(ch)
     report = {
         "kind": diag.kind,
@@ -240,13 +250,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         path = outdir / "report.json"
         _write_json(path, report)
         _write_manifest(outdir, args, t0, [path])
-    if not diag.is_valid:
-        print(
-            f"validation failure: tp_residual={diag.tp_residual:.3e}, "
-            f"choi_min_eigenvalue={diag.choi_min_eigenvalue:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+    _require_valid(diag)
     return EXIT_OK
 
 
@@ -254,10 +258,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     _require_at_least(args.n_samples, 1, "--n-samples")
     ch = _load_channel(args.channel)
-    _check_channel(ch)
-    _check_dilation_cap(ch, args.force)
     a = _load_observable(args.observable_a)
     b = _load_observable(args.observable_b)
+    _check_budget(args.force, **_channel_elements(ch, args.n_samples))
+    _require_valid(validate_channel(ch))
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
     out = {
@@ -279,8 +283,8 @@ def cmd_dual_distance(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     _require_at_least(args.trials, 1, "--trials")
     ch = _load_channel(args.channel)
-    _check_channel(ch)
-    _check_dilation_cap(ch, args.force)
+    _check_budget(args.force, **_channel_elements(ch, max(args.n_values)))
+    _require_valid(validate_channel(ch))
     rows = distance_table(ch, args.n_values, args.trials, args.seed)
     outdir = _outdir(args)
     path = outdir / "distances.csv"
@@ -294,10 +298,10 @@ def cmd_otoc(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     _require_at_least(args.pairs, 1, "--pairs")
     ch = _load_channel(args.channel)
-    _check_channel(ch)
-    _check_dilation_cap(ch, args.force)
     a = _load_observable(args.observable_a)
     b = _load_observable(args.observable_b)
+    _check_budget(args.force, **_channel_elements(ch, 2 * args.pairs))
+    _require_valid(validate_channel(ch))
     try:
         spec = OtocSpec(ch, a, b)
     except TypeError as exc:
@@ -322,9 +326,16 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     _require_at_least(args.n, 2, "--n")
     _require_at_least(args.n_samples, 1, "--n-samples")
-    max_sites = _check_sites_cap(args.n, args.force)
     if args.t_step <= 0 or args.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
+    # exact in rationals: t_max / t_step can overflow a float
+    n_times = math.floor(Fraction(args.t_max + 1e-9) / Fraction(args.t_step)) + 1
+    _check_budget(
+        args.force,
+        dense_matrix=1 << 2 * args.n,
+        state_rows=args.n_samples << args.n + 1,
+        time_grid=n_times,
+    )
     times = np.arange(0.0, args.t_max + 1e-9, args.t_step)
     run = ThermalizationRun(
         config=IsingConfig(args.n, args.g, args.h),
@@ -334,7 +345,7 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
         n_samples=args.n_samples,
         seed=args.seed,
     )
-    rows = thermalization_experiment(run, max_sites=max_sites)
+    rows = thermalization_experiment(run)
     outdir = _outdir(args)
     path = outdir / "thermalize.csv"
     _write_csv(path, THERMALIZE_COLUMNS, rows)
@@ -347,8 +358,15 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     _require_at_least(args.n, 2, "--n")
     _require_at_least(args.trials, 1, "--trials")
-    max_sites = _check_sites_cap(args.n, args.force)
     n_a = args.n if args.na is None else args.na
+    # the split sets the sizes, so it is checked before they are priced
+    if not (1 <= n_a <= args.n and 1 <= args.nb <= args.n):
+        raise ValidationFailure(f"need 1 <= na, nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
+    _check_budget(
+        args.force,
+        dense_matrix=1 << 2 * max(args.n, n_a + args.nb),
+        state_rows=max(args.n_values) << args.n + args.nb,
+    )
     rows = distance_scaling_experiment(
         n=args.n,
         n_a=n_a,
@@ -359,7 +377,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         seed=args.seed,
         g=args.g,
         h=args.h,
-        max_sites=max_sites,
     )
     outdir = _outdir(args)
     path = outdir / "scaling.csv"
@@ -385,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=output_dir,
             help="directory for output files" + ("" if output_dir else " (default: none)"),
         )
-        p.add_argument("--force", action="store_true", help="override the resource caps")
+        p.add_argument("--force", action="store_true", help="run past the memory budget")
 
     p = sub.add_parser("inspect", help="validate a channel spec and print diagnostics")
     p.add_argument("channel", help="channel spec JSON file")
@@ -430,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thermalize", help="Ising quench, exact vs randomized estimate")
     p.add_argument("--n", type=int, required=True, help="spins in the chain")
-    p.add_argument("--g", type=float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
-    p.add_argument("--h", type=float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
+    p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
+    p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
     p.add_argument("--pol", choices=["z", "y"], required=True, help="initial polarization axis")
     p.add_argument(
         "--obs",
@@ -440,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="first-spin observable (default: same as --pol)",
     )
     p.add_argument("--n-samples", type=int, default=200, help="samples per time point (default 200)")
-    p.add_argument("--t-max", type=float, default=10.0, help="end of the time grid (default 10)")
-    p.add_argument("--t-step", type=float, default=0.25, help="time step (default 0.25)")
+    p.add_argument("--t-max", type=_finite_float, default=10.0, help="end of the time grid (default 10)")
+    p.add_argument("--t-step", type=_finite_float, default=0.25, help="time step (default 0.25)")
     common(p)
     p.set_defaults(func=cmd_thermalize)
 
@@ -449,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="spins in the chain")
     p.add_argument("--na", type=int, default=None, help="input spins (default: n)")
     p.add_argument("--nb", type=int, default=1, help="output spins (default 1)")
-    p.add_argument("--t", type=float, default=1.0, help="evolution time (default 1)")
+    p.add_argument("--t", type=_finite_float, default=1.0, help="evolution time (default 1)")
     p.add_argument(
         "--n-values",
         type=_parse_int_list,
@@ -457,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated ensemble sizes (default 10,50,100,500)",
     )
     p.add_argument("--trials", type=int, default=20, help="trials per size (default 20)")
-    p.add_argument("--g", type=float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
-    p.add_argument("--h", type=float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
+    p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
+    p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
     common(p)
     p.set_defaults(func=cmd_scaling)
 
@@ -470,18 +487,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValidationFailure as exc:
+    except (ValidationFailure, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, TypeError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG

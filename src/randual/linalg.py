@@ -29,10 +29,12 @@ def kron(*factors: np.ndarray) -> np.ndarray:
 
 
 def assert_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> None:
-    """Raise ValueError unless m is square and Hermitian within atol."""
+    """Raise ValueError unless m is square, finite and Hermitian within atol."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     resid = np.abs(m - m.conj().T).max()
     if resid > atol:
         raise ValueError(f"{name} is not Hermitian: residual {resid:.3e} > {atol:.1e}")

@@ -17,9 +17,9 @@ rank-N dual estimator approaches the exact dual as N grows, for the
 unitary channel of the full chain or, restricting the input to the first
 n_a spins, for the induced general channel.
 
-Default sizes target interactive runs (n = 8, d = 256). The same code runs
-at n = 12 when the cap is raised, but dense eigendecomposition and per-time
-unitaries at d = 4096 cost minutes, not seconds.
+Dense 2^n x 2^n matrices are built without a size check; the caller budgets
+them. Defaults target interactive runs (n = 8, d = 256); at n = 12 dense
+eigendecomposition and per-time unitaries cost minutes, not seconds.
 """
 from __future__ import annotations
 
@@ -34,14 +34,8 @@ from .rng import child_seed
 
 DEFAULT_G = 1.05
 DEFAULT_H = 0.5
-# dense 2^n x 2^n matrices; 12 sites = 4096 dims = 268 MB per complex matrix
-DEFAULT_MAX_SITES = 12
 
 _PAULI_1 = {"z": sigma_z, "y": sigma_y}
-
-
-class ResourceCapError(RuntimeError):
-    """Requested system size exceeds the configured memory budget."""
 
 
 @dataclass(frozen=True)
@@ -100,20 +94,13 @@ def default_time_grid() -> np.ndarray:
     return np.arange(0.0, 10.0 + 1e-9, 0.25)
 
 
-def ising_hamiltonian(n: int, g: float, h: float, max_sites: int = DEFAULT_MAX_SITES) -> np.ndarray:
+def ising_hamiltonian(n: int, g: float, h: float) -> np.ndarray:
     """Dense mixed-field Ising Hamiltonian, open boundary, site 1 slowest.
 
-    Real symmetric float64. Refuses n > max_sites with a memory estimate;
-    raise the cap explicitly for larger chains.
+    Real symmetric float64, 2^n x 2^n, built without a size check.
     """
     if n < 2:
         raise ValueError("need at least 2 spins")
-    if n > max_sites:
-        need = (2**n) ** 2 * 16 / 2**20
-        raise ResourceCapError(
-            f"n={n} exceeds the cap of {max_sites} sites "
-            f"(a dense complex matrix at this size is {need:.0f} MiB)"
-        )
     dim = 2**n
     idx = np.arange(dim)
     # z_j = +1/-1 for bit j of the basis index, site j on bit n-1-j
@@ -139,9 +126,7 @@ def polarized_state(n: int, axis: str) -> np.ndarray:
     return kron(*[site] * n)
 
 
-def thermalization_experiment(
-    run: ThermalizationRun, max_sites: int = DEFAULT_MAX_SITES
-) -> list[dict]:
+def thermalization_experiment(run: ThermalizationRun) -> list[dict]:
     """Exact and randomized first-spin expectation through the quench.
 
     Per time point: diagonal evolution gives U(t) and the exact value
@@ -151,7 +136,7 @@ def thermalization_experiment(
     the 3 sigma_n half-width under the key "bound".
     """
     cfg = run.config
-    ham = ising_hamiltonian(cfg.n, cfg.g, cfg.h, max_sites=max_sites)
+    ham = ising_hamiltonian(cfg.n, cfg.g, cfg.h)
     w, v = hermitian_eig(ham)
     psi0 = polarized_state(cfg.n, run.polarization)
     a = np.outer(psi0, psi0.conj())
@@ -186,7 +171,6 @@ def distance_scaling_experiment(
     seed: int,
     g: float = DEFAULT_G,
     h: float = DEFAULT_H,
-    max_sites: int = DEFAULT_MAX_SITES,
 ) -> list[dict]:
     """Estimator-to-exact-dual distances across ensemble sizes.
 
@@ -200,7 +184,7 @@ def distance_scaling_experiment(
         raise ValueError(f"need 1 <= n_b <= n, got n_b={n_b}, n={n}")
     if not 1 <= n_a <= n:
         raise ValueError(f"need 1 <= n_a <= n, got n_a={n_a}, n={n}")
-    ham = ising_hamiltonian(n, g, h, max_sites=max_sites)
+    ham = ising_hamiltonian(n, g, h)
     u = unitary_evolution(ham, t)
     if n_a == n:
         ch = UnitaryChannel(u, d_b=2**n_b)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from randual import cli
 from randual.channels import KrausChannel, UnitaryChannel, save_channel
 from randual.rng import haar_unitary
 
@@ -374,10 +375,102 @@ def test_scaling_command(tmp_path):
 
 def test_usage_errors(tmp_path):
     negative_seed = ["thermalize", "--n", "3", "--pol", "z", "--seed", "-1"]
-    for args in ([], ["frobnicate"], negative_seed):
+    nan_channel = tmp_path / "nan.json"
+    nan_channel.write_text('{"kind": "kraus", "d_a": 1, "d_b": 1, "matrices": [[[[NaN, 0.0]]]]}')
+    for args in (
+        [],
+        ["frobnicate"],
+        negative_seed,
+        ["scaling", "--n", "3", "--t", "nan"],
+        ["thermalize", "--n", "3", "--pol", "z", "--t-step", "nan"],
+        ["thermalize", "--n", "3", "--pol", "z", "--h", "inf", "--t-max", "0.5"],
+        ["inspect", str(nan_channel)],
+    ):
         res = run_cli(args, cwd=tmp_path)
-        assert res.returncode == 1
+        assert res.returncode == 1, (args, res.stderr)
         assert "config error" in res.stderr
+
+
+def test_programming_errors_propagate(monkeypatch):
+    # a TypeError left after the call-site conversions is a bug, not bad input
+    def broken(args):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_inspect", broken)
+    with pytest.raises(TypeError, match="bug"):
+        cli.main(["inspect", "channel.json"])
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Replace every size-dependent library call of the CLI with a failure."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the budget refused")
+
+    for name in (
+        "validate_channel",
+        "dual_ensemble",
+        "distance_table",
+        "thermalization_experiment",
+        "distance_scaling_experiment",
+    ):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermalize", "--n", "13", "--pol", "z"],
+        ["thermalize", "--n", "600", "--pol", "z"],
+        ["scaling", "--n", "12"],
+        ["thermalize", "--n", "4", "--pol", "z", "--t-step", "1e-9"],
+        ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
+         SIGMA_Z_JSON, "--n-samples", "100000000"],
+        ["dual-distance", "{isometry}"],
+    ],
+    ids=["13-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
+         "128x64-isometry"],
+)  # fmt: skip
+def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
+    isometry = tmp_path / "isometry.json"
+    # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 Choi matrix
+    save_channel(KrausChannel(np.eye(128, 64)[np.newaxis]), str(isometry))
+    argv = [a.format(depol=depol_file, isometry=isometry) for a in argv]
+    assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
+    assert "resource cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["thermalize", "--n", "12", "--pol", "z"], 0),
+        (["thermalize", "--n", "13", "--pol", "z", "--force"], 0),
+        (["scaling", "--n", "11"], 0),
+        (["scaling", "--n", "13"], 3),
+        (["scaling", "--n", "13", "--force"], 0),
+        (["scaling", "--n", "4", "--nb", "5"], 2),
+    ],
+    ids=["12-sites", "13-sites-forced", "scaling-11-sites", "scaling-13-sites",
+         "scaling-13-sites-forced", "split-out-of-range"],
+)  # fmt: skip
+def test_budget_prices_chain_sizes(argv, code, monkeypatch, tmp_path):
+    # the experiments are stubbed, so only the pricing runs at these sizes
+    monkeypatch.setattr(cli, "thermalization_experiment", lambda run: [])
+    monkeypatch.setattr(cli, "distance_scaling_experiment", lambda **kwargs: [])
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == code
+
+
+def test_budget_boundary_and_force():
+    # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b
+    elements = cli._channel_elements(KrausChannel(np.zeros((64, 64, 64))), n_rows=10)
+    assert elements == {"dense_matrix": 4096**2, "state_rows": 10 * 64 * 4096}
+    cli._check_budget(False, **elements)  # exactly MAX_UNFORCED_BYTES
+    with pytest.raises(cli.ResourceCapError, match="dense matrix"):
+        cli._check_budget(False, dense_matrix=4096**2 + 1, time_grid=3)
+    with pytest.raises(cli.ResourceCapError, match="time grid"):
+        cli._check_budget(False, dense_matrix=4, time_grid=2**40)
+    cli._check_budget(True, dense_matrix=1 << 1200)  # --n 600 --force
 
 
 def _strip_clock(path):

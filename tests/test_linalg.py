@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from randual.linalg import (
+    assert_hermitian,
     evolution_from_eig,
     hermitian_eig,
     hs_distance,
@@ -108,6 +109,17 @@ def test_hermitian_eig_rejects_nonhermitian():
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     with pytest.raises(ValueError):
         hermitian_eig(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_assert_hermitian_rejects_non_finite(bad):
+    # a NaN residual compares False against the tolerance, and inf - inf is NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        assert_hermitian(np.full((3, 3), bad))
+    m = np.eye(3)
+    m[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        assert_hermitian(m)
 
 
 def test_norms_against_definitions():

@@ -1,4 +1,4 @@
-"""Ising chain builder, quench experiments, and their resource caps."""
+"""Ising chain builder and the quench experiments."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,6 @@ from randual.dual import dual_ensemble, dual_estimate, exact_dual_state
 from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
     IsingConfig,
-    ResourceCapError,
     ThermalizationRun,
     default_time_grid,
     distance_scaling_experiment,
@@ -192,18 +191,6 @@ def test_distance_scaling_validation():
         distance_scaling_experiment(4, 4, 1, 1.0, [], 1, 0)
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 1, 1.0, [0], 1, 0)
-
-
-def test_site_cap_guards_memory():
-    with pytest.raises(ResourceCapError):
-        ising_hamiltonian(13, 1.05, 0.5)
-    run = ThermalizationRun(IsingConfig(13), "z", n_samples=2)
-    with pytest.raises(ResourceCapError):
-        thermalization_experiment(run)
-    with pytest.raises(ResourceCapError):
-        distance_scaling_experiment(13, 13, 1, 1.0, [5], 1, 0)
-    # an explicit opt-in lifts the cap; n stays small here to keep this cheap
-    assert ising_hamiltonian(5, 1.0, 0.5, max_sites=5).shape == (32, 32)
 
 
 def test_mean_squared_distance_chain_channel():

@@ -13,9 +13,10 @@ import os as _os
 # Opt-in thread control: translate RANDUAL_THREADS into the BLAS pool vars
 # before numpy is first imported. Only acts when the variable is set and the
 # BLAS vars are not already pinned by the caller.
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _threads = _os.environ.get("RANDUAL_THREADS")
 if _threads:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in _BLAS_THREAD_VARS:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 

@@ -14,11 +14,13 @@ Exit codes: 0 success, 1 config error (bad flags, unreadable inputs),
 Every subcommand checks in that order: config, then budget, then validation.
 
 File outputs land in --output-dir next to a manifest.json recording the
-command, resolved config, seed, library version and sha256 of every file.
-Outputs are deterministic per seed; the manifest's wall_clock_s field is
-the one value that varies between identical runs. CSV floats use 17
-significant digits, JSON floats shortest round-trip decimals; both parse
-back to the exact binary value. Non-finite JSON floats are written as null.
+command, resolved config, seed, library version, environment (Python,
+numpy, BLAS, thread variables) and sha256 of every file. Outputs are
+deterministic per seed in a fixed environment, BLAS thread count included;
+the manifest's wall_clock_s field is the one value that varies between
+identical runs. CSV floats use 17 significant digits, JSON floats shortest
+round-trip decimals; both parse back to the exact binary value. Non-finite
+JSON floats are written as null.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -34,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import _BLAS_THREAD_VARS, __version__
 from .channels import _matrix_from_json, dilation_dim, load_channel, validate_channel
 from .dual import distance_table, dual_ensemble, estimate_observable
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
@@ -54,6 +57,7 @@ EXIT_RESOURCE = 3
 
 # one 4096 x 4096 complex matrix: the dense operators of a 12-site chain
 MAX_UNFORCED_BYTES = 2**28
+_BUDGET_LOG2 = MAX_UNFORCED_BYTES.bit_length() - 1
 
 DISTANCE_COLUMNS = ["N", "trial", "hs_distance", "trace_distance", "bound"]
 THERMALIZE_COLUMNS = ["time", "exact", "estimate", "sigma_n", "bound"]
@@ -113,6 +117,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _environment() -> dict:
+    """What the byte-identity of reruns depends on: interpreter, numpy, BLAS
+    and the thread variables (null when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in ("RANDUAL_THREADS", *_BLAS_THREAD_VARS)},
+    }
+
+
 def _write_manifest(outdir: Path, args: argparse.Namespace, t0: float, files: list[Path]) -> None:
     config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
     manifest = {
@@ -120,6 +136,7 @@ def _write_manifest(outdir: Path, args: argparse.Namespace, t0: float, files: li
         "config": config,
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "environment": _environment(),
         "wall_clock_s": time.monotonic() - t0,
         "outputs": {f.name: _sha256(f) for f in files},
     }
@@ -151,18 +168,26 @@ def _require_valid(diag) -> None:
         )
 
 
-def _check_budget(force: bool, **elements: int) -> None:
+def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
     """Refuse, unless forced, a command whose largest array exceeds MAX_UNFORCED_BYTES.
 
     elements names each array the command is about to allocate with its
-    element count, an exact int priced at 16 bytes (complex128). The size is
-    printed as a power of two: a huge int overflows a float.
+    element count at 16 bytes each (complex128): an exact int m, or a pair
+    (m, e) for m * 2^e. Pairs are compared by exponent, so pricing 2^(2n)
+    elements costs nothing even when n is absurd.
     """
-    name, count = max(elements.items(), key=lambda item: item[1])
-    if 16 * count > MAX_UNFORCED_BYTES and not force:
+
+    def log2_bytes(m: int, e: int) -> float:
+        return math.log2(m) + e + 4 if m else -math.inf
+
+    sizes = {k: v if isinstance(v, tuple) else (v, 0) for k, v in elements.items()}
+    name, (m, e) = max(sizes.items(), key=lambda item: log2_bytes(*item[1]))
+    # with m >= 1, 2^(e+4) bytes past the budget settles it without building m << e
+    over = m > 0 and (e + 4 > _BUDGET_LOG2 or 16 * m << e > MAX_UNFORCED_BYTES)
+    if over and not force:
         raise ResourceCapError(
-            f"the {name.replace('_', ' ')} needs 2^{math.log2(16 * count):.1f} bytes, "
-            f"which exceeds the budget of 2^{math.log2(MAX_UNFORCED_BYTES):.0f} bytes; "
+            f"the {name.replace('_', ' ')} needs 2^{log2_bytes(m, e):.1f} bytes, "
+            f"which exceeds the budget of 2^{_BUDGET_LOG2} bytes; "
             "pass --force to proceed"
         )
 
@@ -332,8 +357,8 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
     n_times = math.floor(Fraction(args.t_max + 1e-9) / Fraction(args.t_step)) + 1
     _check_budget(
         args.force,
-        dense_matrix=1 << 2 * args.n,
-        state_rows=args.n_samples << args.n + 1,
+        dense_matrix=(1, 2 * args.n),
+        state_rows=(args.n_samples, args.n + 1),
         time_grid=n_times,
     )
     times = np.arange(0.0, args.t_max + 1e-9, args.t_step)
@@ -364,8 +389,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         raise ValidationFailure(f"need 1 <= na, nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
     _check_budget(
         args.force,
-        dense_matrix=1 << 2 * max(args.n, n_a + args.nb),
-        state_rows=max(args.n_values) << args.n + args.nb,
+        dense_matrix=(1, 2 * max(args.n, n_a + args.nb)),
+        state_rows=(max(args.n_values), args.n + args.nb),
     )
     rows = distance_scaling_experiment(
         n=args.n,

@@ -187,11 +187,10 @@ def exact_dual_state(ch: UnitaryChannel) -> np.ndarray:
     """
     ch = _require_unitary_kind(ch)
     d_b, d_c = ch.d_b, ch.d_c
-    # w[r, i, c] = conj(U[(r, c), i]) / sqrt(d_b)
-    w = ch.unitary.conj().reshape(d_b, d_c, ch.d_a).transpose(0, 2, 1) / np.sqrt(d_b)
-    rho = np.einsum("ric,sjc->risj", w, w.conj()) / d_c
-    d = d_b * ch.d_a
-    return rho.reshape(d, d)
+    # column c is w_c / sqrt(d_c): w[(r, i), c] = conj(U[(r, c), i]) / sqrt(d_b d_c)
+    w = ch.unitary.conj().reshape(d_b, d_c, ch.d_a).transpose(0, 2, 1) / np.sqrt(d_b * d_c)
+    w = w.reshape(d_b * ch.d_a, d_c)
+    return w @ w.conj().T
 
 
 def dual_from_choi(choi: ChoiMatrix) -> np.ndarray:
@@ -211,13 +210,15 @@ def exact_dual(ch: Channel) -> np.ndarray:
 
 
 def dual_estimate(ens: DualStateEnsemble) -> np.ndarray:
-    """Rank-N estimator (1/N) sum_k |Psi_k><Psi_k|.
+    """Rank-N estimator (1/N) sum_k |Psi_k><Psi_k|, as one GEMM.
 
-    Summed in fixed index order so results are bitwise reproducible for a
-    given seed regardless of BLAS threading.
+    Bitwise reproducible for a given seed in a fixed environment, including
+    the BLAS thread count: the summation order is the BLAS kernel's.
     """
     s = ens.states
-    return np.einsum("ki,kj->ij", s, s.conj()) / ens.n_samples
+    est = s.T @ s.conj()
+    est /= ens.n_samples
+    return est
 
 
 def duality_pairing(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -303,13 +304,20 @@ def variance_bound(ch: UnitaryChannel, a: np.ndarray, b: np.ndarray) -> float:
     assert_hermitian(b, name="B")
     if a.shape[0] != ch.d_a or b.shape[0] != ch.d_b:
         raise ValueError("observable dimensions do not match the channel")
-    u = ch.unitary
-    w = u @ a @ u.conj().T
-    x = np.einsum("ibc,bd->idc", w.reshape(ch.d_a, ch.d_b, ch.d_c), b).reshape(ch.d_a, ch.d_a)
-    tr_xx = float(np.vdot(x, x).real)
-    tr_x = np.trace(x)
-    val = (ch.d_a * tr_xx - abs(tr_x) ** 2) / (ch.d_c + 1)
-    return max(val, 0.0)
+    d_a, u = ch.d_a, ch.unitary
+    # Z = U^dag (B (x) I_c) and Y = A Z, so that X = U Y. Z^T is conj(B^dag U)
+    # read as (d_a, d_a), d_a^2 d_b work; Y^T = Z^T A^T is the one d^3 product.
+    z_t = b.conj().T @ u.reshape(ch.d_b, ch.d_c * d_a)
+    z_t = np.conjugate(z_t, out=z_t).reshape(d_a, d_a)
+    y_t = z_t @ a.T
+    # With c = tr X / d_a = sum_ij (Y^T)_ij U_ij / d_a, the numerator is
+    # d_a ||X - c I||_F^2 = d_a ||Y^T - c conj(U)||_F^2, a sum of squares that
+    # needs no cancellation when X is close to c I.
+    c = np.einsum("ij,ij->", y_t, u) / d_a
+    c_conj_u = np.conjugate(u, out=z_t)  # Z^T is no longer needed
+    c_conj_u *= c
+    y_t -= c_conj_u
+    return d_a * float(np.vdot(y_t, y_t).real) / (ch.d_c + 1)
 
 
 def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:

@@ -80,14 +80,16 @@ def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
     return hs_norm(np.asarray(a) - np.asarray(b))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
-
-
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||a - b||_1."""
-    return 0.5 * trace_norm(np.asarray(a) - np.asarray(b))
+    """Trace distance (1/2)||a - b||_1 of Hermitian a and b.
+
+    a - b is Hermitian, so its singular values are the moduli of its
+    eigenvalues; raises ValueError when it is not Hermitian within
+    HERMITIAN_ATOL.
+    """
+    diff = np.asarray(a) - np.asarray(b)
+    assert_hermitian(diff, name="a - b")
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def max_entangled_state(d: int) -> np.ndarray:

@@ -14,9 +14,12 @@ from randual import KrausChannel, UnitaryChannel, haar_unitary
 _PACKAGE_ROOT = str(Path(randual.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd):
-    """Run `python -m randual *args` in cwd against the package under test."""
-    env = dict(os.environ)
+def run_cli(args, cwd, env=None):
+    """Run `python -m randual *args` in cwd against the package under test.
+
+    env, if given, overrides entries of the inherited environment.
+    """
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )

@@ -1,6 +1,7 @@
 """End-to-end CLI runs through subprocess: exit codes, files, determinism."""
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from randual import cli
 from randual.channels import KrausChannel, UnitaryChannel, save_channel
 from randual.rng import haar_unitary
 
-from helpers import depolarizing, run_cli
+from helpers import depolarizing, random_kraus_channel, run_cli
 
 SIGMA_Z_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[-1.0,0.0]]]"
 PROJ0_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]]"
@@ -473,6 +474,18 @@ def test_budget_boundary_and_force():
     cli._check_budget(True, dense_matrix=1 << 1200)  # --n 600 --force
 
 
+def test_budget_prices_absurd_site_counts_without_big_ints(tmp_path):
+    # 2^(2n) elements for n = 10^7 is priced by its exponent, not built as an int
+    tracemalloc.start()
+    try:
+        code = cli.main(["thermalize", "--n", "10000000", "--pol", "z", "--output-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000
+
+
 def _strip_clock(path):
     data = json.loads(path.read_text())
     data.pop("wall_clock_s")
@@ -529,3 +542,27 @@ def test_reruns_are_byte_identical(which, tmp_path, scrambler):
     assert _strip_clock(cwd_a / "out" / "manifest.json") == _strip_clock(
         cwd_b / "out" / "manifest.json"
     )
+
+
+# every BLAS pool pinned, so an inherited OMP_NUM_THREADS cannot shadow the setting
+TWO_THREADS = {var: "2" for var in ("RANDUAL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+@pytest.mark.parametrize("which", ["scaling", "dual-distance"])
+def test_reruns_at_two_threads_are_byte_identical(which, tmp_path):
+    # the determinism contract: a fixed environment, thread count included
+    if which == "scaling":
+        args, produced = ["scaling", "--n", "6"], "scaling.csv"
+    else:
+        channel = tmp_path / "kraus.json"
+        save_channel(random_kraus_channel(np.random.default_rng(3), 16, 4, 4), str(channel))
+        args, produced = ["dual-distance", str(channel)], "distances.csv"
+    outputs = []
+    for run in ("a", "b"):
+        cwd = tmp_path / run
+        cwd.mkdir()
+        res = run_cli(args + ["--seed", "4", "--output-dir", "out"], cwd=cwd, env=TWO_THREADS)
+        assert res.returncode == 0, res.stderr
+        outputs.append(((cwd / "out" / produced).read_bytes(), _strip_clock(cwd / "out" / "manifest.json")))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["environment"]["threads"] == TWO_THREADS

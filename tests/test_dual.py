@@ -205,6 +205,43 @@ def test_exact_variance_formula():
     assert want <= variance_bound(ch, a, b) * (1 + 1e-9)
 
 
+def _rel_err(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("d_a, d_b", [(16, 2), (16, 4), (64, 4)])
+def test_variance_bound_matches_dense_oracle(d_a, d_b):
+    # the pre-GEMM formula: X = U A U^dag (B (x) I_c) built densely
+    for trial in range(4):
+        rng = np.random.default_rng(30 + 7 * trial + d_a + d_b)
+        ch = random_unitary_channel(d_a, d_b, rng)
+        a = random_hermitian(rng, d_a)
+        b = random_hermitian(rng, d_b)
+        u = ch.unitary
+        w = u @ a @ u.conj().T
+        x = np.einsum("ibc,bd->idc", w.reshape(d_a, d_b, ch.d_c), b).reshape(d_a, d_a)
+        want = (d_a * np.vdot(x, x).real - abs(np.trace(x)) ** 2) / (ch.d_c + 1)
+        assert _rel_err(variance_bound(ch, a, b), want) <= 1e-12
+
+
+@pytest.mark.parametrize("d_a, d_b", [(8, 2), (16, 4), (32, 2)])
+def test_exact_dual_state_matches_einsum_oracle(d_a, d_b):
+    ch = random_unitary_channel(d_a, d_b, np.random.default_rng(d_a + d_b))
+    w = ch.unitary.conj().reshape(d_b, ch.d_c, d_a).transpose(0, 2, 1) / np.sqrt(d_b)
+    d = d_b * d_a
+    want = (np.einsum("ric,sjc->risj", w, w.conj()) / ch.d_c).reshape(d, d)
+    assert _rel_err(exact_dual_state(ch), want) <= 1e-12
+
+
+@pytest.mark.parametrize("channel", ["unitary", "kraus"])
+def test_dual_estimate_matches_einsum_oracle(channel):
+    ch = random_unitary_channel(32, 4, np.random.default_rng(5)) if channel == "unitary" else depolarizing(0.4)
+    ens = dual_ensemble(ch, 300, master_seed=9)
+    s = ens.states
+    want = np.einsum("ki,kj->ij", s, s.conj()) / ens.n_samples
+    assert _rel_err(dual_estimate(ens), want) <= 1e-12
+
+
 def test_rank1_bound_validation():
     ch = depolarizing(0.3)
     proj = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)

@@ -15,7 +15,6 @@ from randual.linalg import (
     sigma_y,
     sigma_z,
     trace_distance,
-    trace_norm,
     unitary_evolution,
 )
 from randual.rng import haar_unitary
@@ -126,7 +125,12 @@ def test_norms_against_definitions():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert np.isclose(hs_norm(m), np.sqrt(np.sum(np.abs(m) ** 2)), atol=1e-12)
-    assert np.isclose(trace_norm(m), np.sum(np.linalg.svd(m, compute_uv=False)), atol=1e-12)
+    for _ in range(5):
+        a, b = random_hermitian(rng, 6), random_hermitian(rng, 6)
+        svd_sum = np.sum(np.linalg.svd(a - b, compute_uv=False))
+        assert np.isclose(trace_distance(a, b), 0.5 * svd_sum, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        trace_distance(m, np.zeros((5, 5)))
     n = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert np.isclose(hs_distance(m, n), hs_norm(m - n), atol=1e-12)
 

@@ -34,7 +34,6 @@ from .channels import (
     channel_to_dict,
     choi_matrix,
     choi_pairing,
-    kraus_from_choi,
     kraus_operators,
     kraus_rank,
     load_channel,
@@ -56,12 +55,11 @@ from .dual import (
     exact_dual,
     exact_dual_state,
     rank1_variance_bound,
-    sample_dual_state,
     sample_values,
     variance_bound,
 )
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
-from .rng import SeedSpec, child_seed, haar_second_moment, haar_state, haar_unitary
+from .rng import SeedSpec, child_seed, haar_state, haar_unitary
 from .spinchain import (
     IsingConfig,
     ThermalizationRun,

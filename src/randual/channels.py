@@ -29,7 +29,7 @@ from .linalg import assert_hermitian, hs_norm, partial_trace
 
 # Construction-time tolerance on U^dag U = I and sum M^dag M = I.
 UNITARY_ATOL = 1e-9
-# Default eigenvalue cutoff for Kraus extraction is KRAUS_TOL_SCALE * d_a.
+# Default eigenvalue cutoff for the Kraus rank is KRAUS_TOL_SCALE * d_a.
 KRAUS_TOL_SCALE = 1e-10
 
 
@@ -232,31 +232,6 @@ def kraus_rank(ch: Channel, tol: float | None = None) -> int:
         tol = KRAUS_TOL_SCALE * ch.d_a
     w = np.linalg.eigvalsh(choi_matrix(ch).matrix)
     return int(np.sum(w > tol))
-
-
-def kraus_from_choi(choi: ChoiMatrix, tol: float | None = None) -> KrausChannel:
-    """Extract Kraus operators from a Choi matrix.
-
-    Eigendecomposes d_a * sigma; every eigenpair (lam, v) with lam > tol
-    contributes the operator sqrt(lam) * reshape(v), where v on the
-    (input copy, output) layout reshapes to a (d_a, d_b) table whose
-    transpose is the operator. Eigenvalues below -tol mean the matrix is not
-    a Choi matrix of a completely positive map.
-    """
-    if tol is None:
-        tol = KRAUS_TOL_SCALE * choi.d_a
-    assert_hermitian(choi.matrix, name="Choi matrix")
-    w, v = np.linalg.eigh(choi.d_a * choi.matrix)
-    if w[0] < -tol:
-        raise ValueError(f"Choi matrix has negative eigenvalue {w[0]:.3e}; not completely positive")
-    ops = [
-        np.sqrt(lam) * vec.reshape(choi.d_a, choi.d_b).T
-        for lam, vec in zip(w, v.T)
-        if lam > tol
-    ]
-    if not ops:
-        raise ValueError("Choi matrix has no eigenvalue above tolerance")
-    return KrausChannel(np.array(ops))
 
 
 def _dilation_ancilla(r: int, d_a: int, d_b: int) -> int:

@@ -123,35 +123,25 @@ def _batch_states(u: np.ndarray, d_b: int, psis: np.ndarray) -> np.ndarray:
     """Rows (I (x) U^dag)(|phi+> (x) |psi_k>) for a stack of traced-factor states.
 
     |phi+> (x) |psi> viewed as an (ancilla, d_a) table is delta_{rs}
-    psi[c] / sqrt(d_b) at column (s, c), so applying U^dag collapses to a
-    single contraction against conj(U).
+    psi[c] / sqrt(d_b) at column (s, c), so applying U^dag collapses to
+    row block r = sum_c psi[c] conj(U[(r, c), :]) / sqrt(d_b). That is the
+    conjugate of conj(psis) @ U[r], one GEMM per ancilla index against U
+    read in place: only the (d_b, N, d_a) result is written, never a
+    conj(U) or transposed copy of U.
     """
     d_a = u.shape[0]
-    d_c = d_a // d_b
-    uc = u.conj().reshape(d_b, d_c, d_a)
-    out = np.tensordot(psis, uc, axes=([1], [1])) / np.sqrt(d_b)
-    return out.reshape(psis.shape[0], d_b * d_a)
-
-
-def sample_dual_state(ch: UnitaryChannel, seed: SeedSpec | int) -> np.ndarray:
-    """One random dual state of a unitary-induced channel.
-
-    Draws |psi> Haar on the traced factor and returns the unit vector
-    (I (x) U^dag)(|phi+> (x) |psi>) on the (ancilla, output, traced) layout,
-    ancilla slowest.
-    """
-    ch = _require_unitary_kind(ch)
-    if isinstance(seed, int):
-        seed = SeedSpec(seed)
-    psi = haar_state(ch.d_c, seed.rng())
-    return _batch_states(ch.unitary, ch.d_b, psi[np.newaxis, :])[0]
+    n = psis.shape[0]
+    prod = np.matmul(psis.conj(), u.reshape(d_b, d_a // d_b, d_a))
+    out = np.empty((n, d_b, d_a), dtype=complex)
+    np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
+    return out.reshape(n, d_b * d_a)
 
 
 def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEnsemble:
     """N independent dual states of any channel; sample k is seeded by (master_seed, k).
 
-    A unitary-induced channel gives unit rows, and
-    sample_dual_state(ch, SeedSpec(master_seed, k)) equals row k bitwise.
+    A unitary-induced channel gives unit rows, and row k is built from
+    haar_state(d_c, SeedSpec(master_seed, k).rng()) alone.
     Any other channel goes through its unitary dilation: each sample draws
     the dilated unitary's dual state and keeps the component with the
     dilation ancilla in its reference vector, scaled by sqrt(ancilla dim) so

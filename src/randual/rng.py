@@ -93,29 +93,3 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     q, rr = np.linalg.qr(z)
     diag = np.diagonal(rr)
     return q / (diag / np.abs(diag))
-
-
-def haar_second_moment(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Closed form of the Haar average of V^dag X V Y V^dag Z V over V.
-
-    Second-moment (Weingarten) formula for the unitary group on dimension
-    D >= 2:
-
-        [tr X tr Z / (D^2-1) - tr(XZ) / (D (D^2-1))] Y
-      + [tr(XZ) tr Y / (D^2-1) - tr X tr Z tr Y / (D (D^2-1))] I
-
-    Used as the analytic oracle for all Monte Carlo second-moment tests. The
-    same expression gives the average of V X V^dag Y V Z V^dag because the
-    Haar measure is inverse invariant.
-    """
-    x, y, z = np.asarray(x), np.asarray(y), np.asarray(z)
-    d = x.shape[0]
-    if x.shape != (d, d) or y.shape != (d, d) or z.shape != (d, d):
-        raise ValueError("x, y, z must be square matrices of equal dimension")
-    if d < 2:
-        raise ValueError("formula is singular at dimension 1")
-    tx, tz, ty = np.trace(x), np.trace(z), np.trace(y)
-    txz = np.trace(x @ z)
-    c1 = tx * tz / (d**2 - 1) - txz / (d * (d**2 - 1))
-    c2 = txz * ty / (d**2 - 1) - tx * tz * ty / (d * (d**2 - 1))
-    return c1 * y + c2 * np.eye(d, dtype=complex)

@@ -18,8 +18,10 @@ unitary channel of the full chain or, restricting the input to the first
 n_a spins, for the induced general channel.
 
 Dense 2^n x 2^n matrices are built without a size check; the caller budgets
-them. Defaults target interactive runs (n = 8, d = 256); at n = 12 dense
-eigendecomposition and per-time unitaries cost minutes, not seconds.
+them. Defaults target interactive runs (n = 8, d = 256). At n = 10 one time
+point (U(t), 200 samples and the variance bound) measured 0.5 s on one BLAS
+thread, so the default 41-point grid takes about 20 s; each added spin
+multiplies the dense work by about 8.
 """
 from __future__ import annotations
 

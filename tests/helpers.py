@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 
 import randual
-from randual import KrausChannel, UnitaryChannel, haar_unitary
+from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
+from randual.channels import KRAUS_TOL_SCALE
+from randual.dual import _batch_states
+from randual.linalg import assert_hermitian
 
 # directory holding the imported package: src/ for a checkout, site-packages
 # for an install; a relative PYTHONPATH would not survive a changed cwd
@@ -79,3 +82,82 @@ def random_density_matrix(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
     return rho / np.trace(rho)
+
+
+def max_entangled_state(d):
+    """Maximally entangled vector sum_i |ii> / sqrt(d) on a d*d space."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return v
+
+
+def sample_dual_state(ch, seed):
+    """One dual state of a unitary-induced channel, drawn alone from its
+    seed address: (I (x) U^dag)(|phi+> (x) |psi>), psi Haar on the traced
+    factor. An int seed means sample 0 of that master seed."""
+    if isinstance(seed, int):
+        seed = SeedSpec(seed)
+    psi = haar_state(ch.d_c, seed.rng())
+    return _batch_states(ch.unitary, ch.d_b, psi[np.newaxis, :])[0]
+
+
+def batch_states_oracle(u, d_b, psis):
+    """Dual rows by the contraction psi . conj(U) over the traced factor,
+    with conj(U) formed in full: the reference for dual._batch_states."""
+    d_a = u.shape[0]
+    uc = u.conj().reshape(d_b, d_a // d_b, d_a)
+    out = np.tensordot(psis, uc, axes=([1], [1])) / np.sqrt(d_b)
+    return out.reshape(psis.shape[0], d_b * d_a)
+
+
+def kraus_from_choi(choi, tol=None):
+    """Kraus operators read off a Choi matrix.
+
+    Eigendecomposes d_a * sigma; every eigenpair (lam, v) with lam > tol
+    contributes the operator sqrt(lam) * reshape(v), where v on the
+    (input copy, output) layout reshapes to a (d_a, d_b) table whose
+    transpose is the operator. Eigenvalues below -tol mean the matrix is not
+    a Choi matrix of a completely positive map.
+    """
+    if tol is None:
+        tol = KRAUS_TOL_SCALE * choi.d_a
+    assert_hermitian(choi.matrix, name="Choi matrix")
+    w, v = np.linalg.eigh(choi.d_a * choi.matrix)
+    if w[0] < -tol:
+        raise ValueError(f"Choi matrix has negative eigenvalue {w[0]:.3e}; not completely positive")
+    ops = [
+        np.sqrt(lam) * vec.reshape(choi.d_a, choi.d_b).T
+        for lam, vec in zip(w, v.T)
+        if lam > tol
+    ]
+    if not ops:
+        raise ValueError("Choi matrix has no eigenvalue above tolerance")
+    return KrausChannel(np.array(ops))
+
+
+def haar_second_moment(x, y, z):
+    """Closed form of the Haar average of V^dag X V Y V^dag Z V over V.
+
+    Second-moment (Weingarten) formula for the unitary group on dimension
+    D >= 2:
+
+        [tr X tr Z / (D^2-1) - tr(XZ) / (D (D^2-1))] Y
+      + [tr(XZ) tr Y / (D^2-1) - tr X tr Z tr Y / (D (D^2-1))] I
+
+    The analytic oracle for the Monte Carlo second-moment tests. The same
+    expression gives the average of V X V^dag Y V Z V^dag because the Haar
+    measure is inverse invariant.
+    """
+    x, y, z = np.asarray(x), np.asarray(y), np.asarray(z)
+    d = x.shape[0]
+    if x.shape != (d, d) or y.shape != (d, d) or z.shape != (d, d):
+        raise ValueError("x, y, z must be square matrices of equal dimension")
+    if d < 2:
+        raise ValueError("formula is singular at dimension 1")
+    tx, tz, ty = np.trace(x), np.trace(z), np.trace(y)
+    txz = np.trace(x @ z)
+    c1 = tx * tz / (d**2 - 1) - txz / (d * (d**2 - 1))
+    c2 = txz * ty / (d**2 - 1) - tx * tz * ty / (d * (d**2 - 1))
+    return c1 * y + c2 * np.eye(d, dtype=complex)

@@ -15,7 +15,6 @@ from randual.channels import (
     apply_channel,
     choi_matrix,
     choi_pairing,
-    kraus_from_choi,
     save_channel,
     stinespring_dilate,
 )
@@ -45,6 +44,7 @@ from randual.spinchain import (
 from helpers import (
     amplitude_damping,
     depolarizing,
+    kraus_from_choi,
     random_density_matrix,
     random_hermitian,
     random_kraus_channel,

@@ -13,7 +13,6 @@ from randual.channels import (
     choi_matrix,
     choi_pairing,
     dilation_dim,
-    kraus_from_choi,
     kraus_operators,
     kraus_rank,
     load_channel,
@@ -26,6 +25,7 @@ from randual.linalg import kron, partial_trace
 from helpers import (
     amplitude_damping,
     depolarizing,
+    kraus_from_choi,
     random_density_matrix,
     random_hermitian,
     random_kraus_channel,

@@ -24,18 +24,20 @@ from randual.dual import (
     exact_dual,
     exact_dual_state,
     rank1_variance_bound,
-    sample_dual_state,
     sample_values,
     variance_bound,
 )
-from randual.linalg import hs_distance, kron, max_entangled_state, partial_trace
-from randual.rng import SeedSpec, child_seed
+from randual.linalg import hs_distance, kron, partial_trace
+from randual.rng import SeedSpec, child_seed, haar_state
 
 from helpers import (
     amplitude_damping,
+    batch_states_oracle,
     depolarizing,
+    max_entangled_state,
     random_hermitian,
     random_unitary_channel,
+    sample_dual_state,
 )
 
 
@@ -373,6 +375,25 @@ def test_ensemble_prefix_property_every_channel_kind(kind):
     assert np.array_equal(short.states, long.states[:7])
     want = KIND_UNITARY if kind is UnitaryChannel else KIND_POSTSELECTED
     assert short.kind == long.kind == want
+
+
+@pytest.mark.parametrize("kind", ["unitary", "dilated", "kraus"])
+def test_ensemble_rows_match_tensordot_oracle(kind):
+    unitary = random_unitary_channel(16, 2, np.random.default_rng(25))
+    ch = {
+        "unitary": unitary,
+        "dilated": DilatedChannel(unitary.unitary, d_a=4, d_b=2),
+        "kraus": depolarizing(0.3),
+    }[kind]
+    n = 9
+    ens = dual_ensemble(ch, n, master_seed=26)
+    dil = stinespring_dilate(ch)
+    nu = dil.ancilla_dim
+    assert (nu > 1) == (kind != "unitary")
+    psis = np.array([haar_state(dil.env_dim, SeedSpec(26, k).rng()) for k in range(n)])
+    want = batch_states_oracle(dil.unitary, ch.d_b, psis).reshape(n, ch.d_b, ch.d_a, nu)[..., 0]
+    want = (want * np.sqrt(nu) if nu > 1 else want).reshape(n, ch.d_b * ch.d_a)
+    assert _rel_err(ens.states, want) <= 1e-14
 
 
 def test_distance_table_cells_and_checks():

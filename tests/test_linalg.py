@@ -9,7 +9,6 @@ from randual.linalg import (
     hs_distance,
     hs_norm,
     kron,
-    max_entangled_state,
     partial_trace,
     sigma_x,
     sigma_y,
@@ -18,8 +17,9 @@ from randual.linalg import (
     unitary_evolution,
 )
 from randual.rng import haar_unitary
+from randual.spinchain import ising_hamiltonian
 
-from helpers import random_hermitian
+from helpers import max_entangled_state, random_hermitian
 
 
 def kron_bruteforce(a, b):
@@ -191,6 +191,61 @@ def test_evolution_from_eig_matches():
     h = random_hermitian(rng, 6)
     w, v = hermitian_eig(h)
     assert np.allclose(evolution_from_eig(w, v, 1.3), unitary_evolution(h, 1.3), atol=1e-12)
+
+
+def _evolution_oracle(w, v, t):
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 3.7])
+@pytest.mark.parametrize("source", ["ising-3", "ising-6", "ising-8", "random-symmetric"])
+def test_evolution_from_eig_real_eigvecs_match_complex_product(source, t):
+    if source == "random-symmetric":
+        m = np.random.default_rng(12).normal(size=(40, 40))
+        h = m + m.T
+    else:
+        h = ising_hamiltonian(int(source.split("-")[1]), 1.05, 0.5)
+    w, v = np.linalg.eigh(h)
+    assert v.dtype == np.float64
+    u = evolution_from_eig(w, v, t)
+    assert u.dtype == np.complex128
+    assert np.abs(u - _evolution_oracle(w, v, t)).max() <= 1e-13
+    assert np.abs(u @ u.conj().T - np.eye(h.shape[0])).max() <= 1e-12
+
+
+def test_evolution_from_eig_complex_eigvecs_unchanged():
+    h = random_hermitian(np.random.default_rng(13), 24)
+    w, v = np.linalg.eigh(h)
+    for t in (0.0, 0.25, 3.7):
+        assert np.array_equal(evolution_from_eig(w, v, t), _evolution_oracle(w, v, t))
+
+
+@pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 130])
+def test_assert_hermitian_banded_pass_matches_dense_residual(d):
+    atol = 1e-10
+    h = random_hermitian(np.random.default_rng(d), d)
+    assert_hermitian(h, atol)
+    last_band = 64 * ((d - 1) // 64)
+    spots = {
+        "first-band": (0, d - 1, 2 * atol),
+        "last-band": (last_band, d - 1, 2j * atol),
+        "diagonal-imaginary": (d // 2, d // 2, 2j * atol),
+        "below-diagonal": (d - 1, 0, 2 * atol),
+    }
+    for where, (i, j, delta) in spots.items():
+        if i == j and delta.imag == 0:
+            continue  # a real diagonal shift keeps the matrix Hermitian
+        m = h.copy()
+        m[i, j] += delta
+        dense = np.abs(m - m.conj().T).max()
+        with pytest.raises(ValueError) as err:
+            assert_hermitian(m, atol)
+        assert str(err.value) == f"matrix is not Hermitian: residual {dense:.3e} > {atol:.1e}", where
+
+
+def test_assert_hermitian_rejects_empty():
+    with pytest.raises(ValueError, match="^A must be nonempty$"):
+        assert_hermitian(np.zeros((0, 0)), name="A")
 
 
 def test_pauli_algebra():

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from randual.rng import SeedSpec, child_seed, haar_second_moment, haar_state, haar_unitary
+from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
 
-from helpers import random_hermitian
+from helpers import haar_second_moment, random_hermitian
 
 
 def test_seedspec_streams_are_reproducible_and_distinct():

@@ -53,6 +53,7 @@ from .dual import (
     duality_pairing,
     estimate_observable,
     exact_dual,
+    exact_dual_factor,
     exact_dual_state,
     rank1_variance_bound,
     sample_values,

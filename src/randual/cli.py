@@ -194,7 +194,8 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
 
 def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
     # dense: Choi matrix, dilation, exact dual, estimator, otoc's kron(B^t, A);
-    # rows: the sampled dual states before the dilation ancilla is sliced off
+    # rows: the sampled dual states at the full dilation width, an upper bound
+    # on the kept ancilla-0 columns that dual_ensemble computes
     d_u = dilation_dim(ch)
     dense = max(d_u, ch.d_a * ch.d_b)
     return {"dense_matrix": dense * dense, "state_rows": n_rows * ch.d_b * d_u}

@@ -28,11 +28,22 @@ expectation, independent of dimension. Observables never need the matrix
 estimator: the per-sample values x_k = d_a <Psi_k|(B^t (x) A)|Psi_k> average
 to tr[X(A) B] with a variance that carries its own computable bound.
 
+Distances to the exact dual need it only when it is small. With
+rho_X = W W^dag (exact_dual_factor, r columns) and S the samples as rows,
+rho_est - rho_X = A D A^dag for the factor pair
+
+    A = [S^T / sqrt(N) | W],   D = diag(+1 (N times), -1 (r times)).
+
+When N + r < d_b d_a, a QR of A leaves the nonzero eigenvalues as those of
+the (N + r)-square R D R^dag, O(d_b d_a (N + r)^2) work; otherwise the
+d x d difference is formed.
+
 dual_ensemble samples every channel kind. General channels go through a
 unitary dilation: sampling the dilated unitary's dual and projecting the
 dilation ancilla of the input copy onto its reference vector (with a
 compensating sqrt factor) yields states that are normalized only in
-expectation but whose mean is again the exact dual.
+expectation but whose mean is again the exact dual. Only the dilation
+columns that survive the projection are multiplied.
 """
 from __future__ import annotations
 
@@ -46,9 +57,10 @@ from .channels import (
     UnitaryChannel,
     choi_matrix,
     choi_pairing,
+    kraus_operators,
     stinespring_dilate,
 )
-from .linalg import assert_hermitian, hs_distance, trace_distance
+from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
 # A^2 = A and tr A = 1 are enforced to this tolerance in rank1_variance_bound.
@@ -119,19 +131,21 @@ def _require_unitary_kind(ch: Channel) -> UnitaryChannel:
     return ch
 
 
-def _batch_states(u: np.ndarray, d_b: int, psis: np.ndarray) -> np.ndarray:
-    """Rows (I (x) U^dag)(|phi+> (x) |psi_k>) for a stack of traced-factor states.
+def _batch_states(cols: np.ndarray, psis: np.ndarray) -> np.ndarray:
+    """Rows (I (x) V^dag)(|phi+> (x) |psi_k>) for a stack of traced-factor states.
 
-    |phi+> (x) |psi> viewed as an (ancilla, d_a) table is delta_{rs}
-    psi[c] / sqrt(d_b) at column (s, c), so applying U^dag collapses to
-    row block r = sum_c psi[c] conj(U[(r, c), :]) / sqrt(d_b). That is the
-    conjugate of conj(psis) @ U[r], one GEMM per ancilla index against U
-    read in place: only the (d_b, N, d_a) result is written, never a
-    conj(U) or transposed copy of U.
+    cols holds the isometry V read as (d_b, d_env, d_a): row (r, e) of the
+    unitary (or of the kept dilation columns) at column i. |phi+> (x) |psi>
+    viewed as an (ancilla, d_env) table is delta_{rs} psi[e] / sqrt(d_b) at
+    column (s, e), so applying V^dag collapses to row block
+    r = sum_e psi[e] conj(cols[r, e, :]) / sqrt(d_b). That is the conjugate
+    of conj(psis) @ cols[r], one GEMM per ancilla index against cols read in
+    place: only the (d_b, N, d_a) result is written, never a conj(V) or
+    transposed copy of V.
     """
-    d_a = u.shape[0]
+    d_b, _, d_a = cols.shape
     n = psis.shape[0]
-    prod = np.matmul(psis.conj(), u.reshape(d_b, d_a // d_b, d_a))
+    prod = np.matmul(psis.conj(), cols)
     out = np.empty((n, d_b, d_a), dtype=complex)
     np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
     return out.reshape(n, d_b * d_a)
@@ -145,9 +159,11 @@ def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEns
     Any other channel goes through its unitary dilation: each sample draws
     the dilated unitary's dual state and keeps the component with the
     dilation ancilla in its reference vector, scaled by sqrt(ancilla dim) so
-    norms are 1 in expectation. The ensemble mean converges to
-    exact_dual(ch). A trivial dilation (ancilla dim 1) gives the same rows
-    bitwise as the unitary-induced channel it dilates.
+    norms are 1 in expectation. Only the dilation columns with the ancilla
+    in its reference vector enter the product, so no dropped amplitude is
+    computed. The ensemble mean converges to exact_dual(ch). A trivial
+    dilation (ancilla dim 1) gives the same rows bitwise as the
+    unitary-induced channel it dilates.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -160,12 +176,13 @@ def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEns
     psis = np.empty((n_samples, d_env), dtype=complex)
     for k in range(n_samples):
         psis[k] = haar_state(d_env, SeedSpec(master_seed, k).rng())
-    states = _batch_states(u, d_b, psis).reshape(n_samples, d_b, d_a, nu)[..., 0]
+    # The kept columns are copied contiguous (a no-op when nu == 1) so matmul
+    # stays on BLAS at every N and each row keeps the bits of the full product.
+    cols = np.ascontiguousarray(u.reshape(d_b, d_env, d_a, nu)[..., 0])
+    states = _batch_states(cols, psis)
     if nu > 1:
-        states = states * np.sqrt(nu)
-    return DualStateEnsemble(
-        states.reshape(n_samples, d_b * d_a), master_seed, ch, kind, d_a, d_b
-    )
+        states *= np.sqrt(nu)
+    return DualStateEnsemble(states, master_seed, ch, kind, d_a, d_b)
 
 
 def exact_dual_state(ch: UnitaryChannel) -> np.ndarray:
@@ -175,12 +192,21 @@ def exact_dual_state(ch: UnitaryChannel) -> np.ndarray:
     an orthogonal decomposition, so the result is PSD with unit trace, rank
     d_c, and satisfies rho^2 = rho / d_c.
     """
-    ch = _require_unitary_kind(ch)
-    d_b, d_c = ch.d_b, ch.d_c
-    # column c is w_c / sqrt(d_c): w[(r, i), c] = conj(U[(r, c), i]) / sqrt(d_b d_c)
-    w = ch.unitary.conj().reshape(d_b, d_c, ch.d_a).transpose(0, 2, 1) / np.sqrt(d_b * d_c)
-    w = w.reshape(d_b * ch.d_a, d_c)
+    w = exact_dual_factor(_require_unitary_kind(ch))
     return w @ w.conj().T
+
+
+def exact_dual_factor(ch: Channel) -> np.ndarray:
+    """Factor W of the exact dual, exact_dual(ch) = W W^dag, shape (d_b*d_a, r).
+
+    Column k is conj(K_k) / sqrt(d_a) on the dual layout,
+    W[(r, i), k] = conj(K_k[r, i]) / sqrt(d_a), for the operator-sum form
+    {K_k} = kraus_operators(ch). A unitary-induced channel has the d_c
+    operators (I (x) <c|) U, so its W has orthogonal columns of equal norm,
+    w_c / sqrt(d_c), and r = d_c.
+    """
+    ops = kraus_operators(ch)
+    return ops.conj().reshape(ops.shape[0], ch.d_b * ch.d_a).T / np.sqrt(ch.d_a)
 
 
 def dual_from_choi(choi: ChoiMatrix) -> np.ndarray:
@@ -329,20 +355,37 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
     return mu1 ** 2
 
 
-def distance_report(ens: DualStateEnsemble, exact: np.ndarray | None = None) -> DistanceReport:
-    """Distances from the rank-N estimator to the exact dual, with the
-    1/sqrt(N) expected Hilbert-Schmidt bound for context."""
-    est = dual_estimate(ens)
-    if exact is None:
-        exact = exact_dual(ens.channel)
-    exact = np.asarray(exact, dtype=complex)
-    if exact.shape != est.shape:
-        raise ValueError(f"reference shape {exact.shape} does not match estimator {est.shape}")
+def distance_report(ens: DualStateEnsemble, *, factor: np.ndarray | None = None) -> DistanceReport:
+    """Distances from the rank-N estimator to the exact dual W W^dag, with
+    the 1/sqrt(N) expected Hilbert-Schmidt bound for context.
+
+    factor is W (default exact_dual_factor(ens.channel)). The difference is
+    A D A^dag with A = [S^T/sqrt(N) | W] and D = diag(+1 per sample, -1 per
+    column of W); both distances are norms of its eigenvalues. When A has
+    fewer columns than rows, A = QR and the nonzero eigenvalues are those of
+    R D R^dag, an (N + r)-square matrix; otherwise the d x d difference is
+    formed directly.
+    """
+    w = exact_dual_factor(ens.channel) if factor is None else np.asarray(factor, dtype=complex)
+    n, d = ens.states.shape
+    if w.ndim != 2 or w.shape[0] != d:
+        raise ValueError(f"factor shape {w.shape} does not have {d} rows")
+    if n + w.shape[1] < d:
+        a = np.empty((d, n + w.shape[1]), dtype=complex)
+        np.divide(ens.states.T, np.sqrt(n), out=a[:, :n])
+        a[:, n:] = w
+        r = np.linalg.qr(a, mode="r")
+        diff = r[:, :n] @ r[:, :n].conj().T
+        diff -= r[:, n:] @ r[:, n:].conj().T
+    else:
+        diff = dual_estimate(ens)
+        diff -= w @ w.conj().T
+    lam = np.linalg.eigvalsh(diff)
     return DistanceReport(
-        hs_distance=float(hs_distance(est, exact)),
-        trace_distance=float(trace_distance(est, exact)),
-        bound=float(1.0 / np.sqrt(ens.n_samples)),
-        n_samples=ens.n_samples,
+        hs_distance=float(np.linalg.norm(lam)),
+        trace_distance=0.5 * float(np.abs(lam).sum()),
+        bound=float(1.0 / np.sqrt(n)),
+        n_samples=n,
     )
 
 
@@ -350,20 +393,21 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     """Estimator-to-exact-dual distances across ensemble sizes.
 
     Each (N, trial) cell draws a fresh ensemble seeded by
-    child_seed(seed, N index, trial) and measures it against one exact dual;
-    rows carry N, trial, hs_distance, trace_distance and the 1/sqrt(N) mean
-    bound.
+    child_seed(seed, N index, trial) and measures it against one exact-dual
+    factor; rows carry N, trial, hs_distance, trace_distance and the
+    1/sqrt(N) mean bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
-    exact = exact_dual(ch)
+    factor = exact_dual_factor(ch)
     rows = []
     for i, n_samples in enumerate(n_values):
         for trial in range(trials):
-            rep = distance_report(dual_ensemble(ch, n_samples, child_seed(seed, i, trial)), exact)
+            ens = dual_ensemble(ch, n_samples, child_seed(seed, i, trial))
+            rep = distance_report(ens, factor=factor)
             rows.append(
                 {
                     "N": n_samples,

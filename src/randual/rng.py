@@ -70,12 +70,17 @@ def haar_state(d: int, seed) -> np.ndarray:
     d independent standard complex Gaussian amplitudes, normalized. The
     distribution is exactly unitarily invariant, hence in particular a state
     2-design. seed may be a SeedSpec, an int master seed, or a Generator.
+    The 2d Gaussians come from one draw, the first d as real parts and the
+    last d as imaginary parts: the stream order of two d-wide draws.
     """
     if d < 1:
         raise ValueError("dimension must be positive")
-    r = _as_generator(seed)
-    v = r.standard_normal(d) + 1j * r.standard_normal(d)
-    return v / np.linalg.norm(v)
+    g = _as_generator(seed).standard_normal(2 * d)
+    v = np.empty(d, dtype=complex)
+    v.real = g[:d]
+    v.imag = g[d:]
+    v /= np.linalg.norm(v)
+    return v
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

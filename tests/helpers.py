@@ -17,8 +17,8 @@ from randual.linalg import assert_hermitian
 _PACKAGE_ROOT = str(Path(randual.__file__).resolve().parent.parent)
 
 
-def run_cli(args, cwd, env=None):
-    """Run `python -m randual *args` in cwd against the package under test.
+def run_python(args, cwd, env=None):
+    """Run `python *args` in cwd with the package under test importable.
 
     env, if given, overrides entries of the inherited environment.
     """
@@ -27,12 +27,17 @@ def run_cli(args, cwd, env=None):
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, "-m", "randual", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(args, cwd, env=None):
+    """Run `python -m randual *args` in cwd against the package under test."""
+    return run_python(["-m", "randual", *args], cwd, env)
 
 
 def random_hermitian(rng, d):
@@ -100,7 +105,8 @@ def sample_dual_state(ch, seed):
     if isinstance(seed, int):
         seed = SeedSpec(seed)
     psi = haar_state(ch.d_c, seed.rng())
-    return _batch_states(ch.unitary, ch.d_b, psi[np.newaxis, :])[0]
+    cols = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a)
+    return _batch_states(cols, psi[np.newaxis, :])[0]
 
 
 def batch_states_oracle(u, d_b, psis):
@@ -110,6 +116,22 @@ def batch_states_oracle(u, d_b, psis):
     uc = u.conj().reshape(d_b, d_a // d_b, d_a)
     out = np.tensordot(psis, uc, axes=([1], [1])) / np.sqrt(d_b)
     return out.reshape(psis.shape[0], d_b * d_a)
+
+
+def full_dilation_rows_oracle(u, d_b, nu, psis):
+    """Dual rows of a dilated unitary u by the full product: every
+    amplitude (I (x) U^dag)(|phi+> (x) |psi>) is computed, then the ancilla-0
+    component is kept and scaled by sqrt(nu). The reference for the
+    kept-column product in dual_ensemble."""
+    n, d_env = psis.shape
+    d_u = u.shape[0]
+    prod = np.matmul(psis.conj(), u.reshape(d_b, d_env, d_u))
+    out = np.empty((n, d_b, d_u), dtype=complex)
+    np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
+    states = out.reshape(n, d_b, d_u // nu, nu)[..., 0]
+    if nu > 1:
+        states = states * np.sqrt(nu)
+    return states.reshape(n, d_b * (d_u // nu))
 
 
 def kraus_from_choi(choi, tol=None):

@@ -22,20 +22,23 @@ from randual.dual import (
     duality_pairing,
     estimate_observable,
     exact_dual,
+    exact_dual_factor,
     exact_dual_state,
     rank1_variance_bound,
     sample_values,
     variance_bound,
 )
-from randual.linalg import hs_distance, kron, partial_trace
-from randual.rng import SeedSpec, child_seed, haar_state
+from randual.linalg import hs_distance, kron, partial_trace, trace_distance
+from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
 
 from helpers import (
     amplitude_damping,
     batch_states_oracle,
     depolarizing,
+    full_dilation_rows_oracle,
     max_entangled_state,
     random_hermitian,
+    random_kraus_channel,
     random_unitary_channel,
     sample_dual_state,
 )
@@ -308,13 +311,13 @@ def test_distance_report_contents():
     rep = distance_report(ens)
     assert rep.n_samples == 100
     assert np.isclose(rep.bound, 0.1, atol=1e-15)
-    explicit = distance_report(ens, exact_dual_state(ch))
+    explicit = distance_report(ens, factor=exact_dual_factor(ch))
     assert rep.hs_distance == explicit.hs_distance
     assert rep.trace_distance == explicit.trace_distance
     # trace distance carries the conventional 1/2: hs <= |..|_1 = 2 T
     assert rep.hs_distance <= 2 * rep.trace_distance + 1e-12
     with pytest.raises(ValueError):
-        distance_report(ens, np.eye(3))
+        distance_report(ens, factor=np.eye(3))
 
 
 def test_estimator_rank_is_at_most_n():
@@ -400,10 +403,10 @@ def test_distance_table_cells_and_checks():
     ch = amplitude_damping(0.3)
     rows = distance_table(ch, [4, 9], trials=2, seed=24)
     assert [(r["N"], r["trial"]) for r in rows] == [(4, 0), (4, 1), (9, 0), (9, 1)]
-    exact = exact_dual(ch)
+    factor = exact_dual_factor(ch)
     for i, n in enumerate([4, 9]):
         for trial in range(2):
-            rep = distance_report(dual_ensemble(ch, n, child_seed(24, i, trial)), exact)
+            rep = distance_report(dual_ensemble(ch, n, child_seed(24, i, trial)), factor=factor)
             row = rows[2 * i + trial]
             assert row["hs_distance"] == rep.hs_distance
             assert row["trace_distance"] == rep.trace_distance
@@ -411,3 +414,76 @@ def test_distance_table_cells_and_checks():
     for n_values, trials in (([4], 0), ([], 1), ([0], 1)):
         with pytest.raises(ValueError):
             distance_table(ch, n_values, trials, seed=24)
+
+
+def _every_channel_kind():
+    """One channel of each kind; r is the column count of its exact-dual factor."""
+    rng = np.random.default_rng(40)
+    return {
+        "unitary": random_unitary_channel(16, 2, rng),  # r = d_c = 8 < d = 32
+        "kraus": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d = 32
+        "dilated": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),  # r = env = 8 < d = 64
+        "depolarizing": depolarizing(0.4),  # r = d = 4: always the dense branch
+    }
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+def test_exact_dual_factor_reproduces_exact_dual(kind):
+    ch = _every_channel_kind()[kind]
+    w = exact_dual_factor(ch)
+    assert w.shape[0] == ch.d_b * ch.d_a
+    assert np.abs(w @ w.conj().T - exact_dual(ch)).max() <= 1e-14
+    assert np.abs(w @ w.conj().T - dual_from_choi(choi_matrix(ch))).max() <= 1e-14
+
+
+def test_exact_dual_state_bits_unchanged():
+    ch = random_unitary_channel(32, 4, np.random.default_rng(42))
+    d_b, d_c, d_a = ch.d_b, ch.d_c, ch.d_a
+    w = ch.unitary.conj().reshape(d_b, d_c, d_a).transpose(0, 2, 1) / np.sqrt(d_b * d_c)
+    w = w.reshape(d_b * d_a, d_c)
+    assert np.array_equal(exact_dual_state(ch), w @ w.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+def test_distance_report_matches_dense_distances(kind):
+    ch = _every_channel_kind()[kind]
+    exact = exact_dual(ch)
+    d, r = exact.shape[0], exact_dual_factor(ch).shape[1]
+    # N + r on both sides of d picks the QR and the dense branch in turn
+    for n in sorted({1, *(m - r for m in (d - 1, d, d + 1) if m > r)}):
+        ens = dual_ensemble(ch, n, master_seed=43 + n)
+        rep = distance_report(ens)
+        est = dual_estimate(ens)
+        hs, td = hs_distance(est, exact), trace_distance(est, exact)
+        assert abs(rep.hs_distance - hs) <= 1e-12 * hs
+        assert abs(rep.trace_distance - td) <= 1e-12 * td
+        assert rep.bound == 1.0 / np.sqrt(n) and rep.n_samples == n
+
+
+def test_distance_report_vanishes_for_rank_one_dual():
+    # d_c = 1: every sample is the exact dual's one vector up to a phase
+    ch = random_unitary_channel(4, 4, np.random.default_rng(44))
+    d = ch.d_b * ch.d_a
+    for n in (1, 5, d - 1, d, 40):
+        rep = distance_report(dual_ensemble(ch, n, master_seed=45))
+        assert rep.hs_distance <= 1e-14
+        assert rep.trace_distance <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "kind", ["kraus 16->4 r=4", "kraus 32->8 r=4", "kraus 64->4 r=16", "dilated 64 d_a=16 d_b=2"]
+)
+@pytest.mark.parametrize("n", [1, 9, 200])
+def test_postselected_rows_bits_match_full_dilation_product(kind, n):
+    rng = np.random.default_rng(46)
+    ch = {
+        "kraus 16->4 r=4": lambda: random_kraus_channel(rng, 16, 4, 4),
+        "kraus 32->8 r=4": lambda: random_kraus_channel(rng, 32, 8, 4),
+        "kraus 64->4 r=16": lambda: random_kraus_channel(rng, 64, 4, 16),
+        "dilated 64 d_a=16 d_b=2": lambda: DilatedChannel(haar_unitary(64, rng), d_a=16, d_b=2),
+    }[kind]()
+    dil = stinespring_dilate(ch)
+    psis = np.array([haar_state(dil.env_dim, SeedSpec(47, k).rng()) for k in range(n)])
+    want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psis)
+    assert dil.ancilla_dim > 1
+    assert np.array_equal(dual_ensemble(ch, n, master_seed=47).states, want)

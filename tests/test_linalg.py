@@ -135,6 +135,16 @@ def test_norms_against_definitions():
     assert np.isclose(hs_distance(m, n), hs_norm(m - n), atol=1e-12)
 
 
+def test_distances_reject_mismatched_shapes():
+    # broadcasting would read these as distances to a tiled operand
+    with pytest.raises(ValueError, match="shapes"):
+        hs_distance(np.eye(4), np.zeros(4))
+    with pytest.raises(ValueError, match="shapes"):
+        trace_distance(np.eye(4) / 4, np.array(0.25))
+    with pytest.raises(ValueError, match="shapes"):
+        hs_distance(np.eye(2), np.eye(3))
+
+
 def test_trace_distance_extremes():
     # orthogonal pure states are perfectly distinguishable
     p0 = np.diag([1.0, 0.0]).astype(complex)

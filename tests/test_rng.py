@@ -62,6 +62,16 @@ def test_haar_state_norm_and_determinism():
         haar_state(0, 1)
 
 
+@pytest.mark.parametrize("d", [1, 2, 16, 17, 512])
+def test_haar_state_bits_match_two_draw_form(d):
+    # real parts then imaginary parts, as two consecutive d-wide draws
+    for k in range(5):
+        r = SeedSpec(31, k).rng()
+        v = r.standard_normal(d) + 1j * r.standard_normal(d)
+        want = v / np.linalg.norm(v)
+        assert haar_state(d, SeedSpec(31, k)).tobytes() == want.tobytes()
+
+
 def test_haar_state_d1_is_phase():
     v = haar_state(1, SeedSpec(9))
     assert v.shape == (1,)

@@ -5,14 +5,14 @@
 import numpy as np
 
 from randual.channels import UnitaryChannel, apply_channel, choi_matrix, choi_pairing
-from randual.dual import duality_pairing, exact_dual_state
+from randual.dual import duality_pairing, exact_dual
 from randual.rng import haar_unitary
 
 d_a, d_b = 8, 2
 ch = UnitaryChannel(haar_unitary(d_a, seed=1), d_b=d_b)
 print(f"unitary-induced channel: {d_a} -> {d_b} (traced factor {ch.d_c})")
 
-rho = exact_dual_state(ch)
+rho = exact_dual(ch)
 sig = choi_matrix(ch)
 print(f"dual state: {rho.shape[0]} x {rho.shape[0]}, trace {np.trace(rho).real:.6f}")
 

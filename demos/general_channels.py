@@ -11,12 +11,11 @@ import numpy as np
 
 from randual.channels import (
     KrausChannel,
-    choi_matrix,
     kraus_rank,
     stinespring_dilate,
     validate_channel,
 )
-from randual.dual import dual_ensemble, dual_estimate, dual_from_choi
+from randual.dual import dual_ensemble, dual_estimate, exact_dual
 from randual.linalg import hs_distance, sigma_x, sigma_y, sigma_z
 
 
@@ -36,7 +35,7 @@ def main():
     print(f"dilation: {dil.d_u} x {dil.d_u} unitary, ancilla {dil.ancilla_dim}, "
           f"environment {dil.env_dim}")
 
-    exact = dual_from_choi(choi_matrix(ch))
+    exact = exact_dual(ch)
     print(f"\n{'N':>6} {'hs to exact dual':>17} {'1/sqrt(N)':>10} {'mean |Phi|^2':>13}")
     for n in (100, 1000, 10000):
         ens = dual_ensemble(ch, n, master_seed=9)

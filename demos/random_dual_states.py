@@ -8,13 +8,13 @@ can be exponentially larger.
 import numpy as np
 
 from randual.channels import UnitaryChannel
-from randual.dual import distance_report, dual_ensemble, exact_dual_factor, exact_dual_state
+from randual.dual import distance_report, dual_ensemble, exact_dual, exact_dual_factor
 from randual.rng import haar_unitary
 
 
 def main():
     ch = UnitaryChannel(haar_unitary(32, seed=3), d_b=2)
-    exact = exact_dual_state(ch)
+    exact = exact_dual(ch)
     factor = exact_dual_factor(ch)
     print(f"exact dual: rank {ch.d_c}, dimension {exact.shape[0]}")
     print(f"\n{'N':>6} {'hs distance':>12} {'1/sqrt(N)':>10} {'trace dist':>11}")

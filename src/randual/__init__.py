@@ -49,12 +49,10 @@ from .dual import (
     distance_table,
     dual_ensemble,
     dual_estimate,
-    dual_from_choi,
     duality_pairing,
     estimate_observable,
     exact_dual,
     exact_dual_factor,
-    exact_dual_state,
     rank1_variance_bound,
     sample_values,
     variance_bound,

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import assert_hermitian, hs_norm, partial_trace
+from .linalg import assert_hermitian, hs_norm
 
 # Construction-time tolerance on U^dag U = I and sum M^dag M = I.
 UNITARY_ATOL = 1e-9
@@ -169,39 +169,27 @@ def kind_of(ch: Channel) -> str:
 def kraus_operators(ch: Channel) -> np.ndarray:
     """Operator-sum form of any channel variant, stacked as (r, d_b, d_a).
 
-    For a UnitaryChannel the operators are M_c = (I (x) <c|) U; for a
-    DilatedChannel they are M_e = (I (x) <e|) U (I (x) |0>), one per
-    environment basis vector (some may vanish).
+    A DilatedChannel has M_e = (I (x) <e|) U (I (x) |0>), one per
+    environment basis vector (some may vanish). A UnitaryChannel is the
+    ancilla-1 case of it, with the operators M_c = (I (x) <c|) U.
     """
     if isinstance(ch, KrausChannel):
         return ch.operators
-    if isinstance(ch, UnitaryChannel):
-        # U reshaped to (d_b, d_c, d_a): row block (m, c), column i.
-        return ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a).transpose(1, 0, 2).copy()
-    if isinstance(ch, DilatedChannel):
-        u4 = ch.unitary.reshape(ch.d_b, ch.env_dim, ch.d_a, ch.ancilla_dim)
+    if isinstance(ch, (UnitaryChannel, DilatedChannel)):
+        # U reshaped to (d_b, env, d_a, ancilla): row block (m, e), column (i, a).
+        d_u = ch.unitary.shape[0]
+        u4 = ch.unitary.reshape(ch.d_b, d_u // ch.d_b, ch.d_a, d_u // ch.d_a)
         return u4[:, :, :, 0].transpose(1, 0, 2).copy()
     raise TypeError(f"not a channel: {type(ch)!r}")
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a d_a x d_a matrix."""
+    """Apply the channel to a d_a x d_a matrix as sum_k M_k rho M_k^dag."""
     rho = np.asarray(rho, dtype=complex)
-    d_a = ch.d_a
-    if rho.shape != (d_a, d_a):
-        raise ValueError(f"input shape {rho.shape} does not match d_a={d_a}")
-    if isinstance(ch, KrausChannel):
-        return np.einsum("kmi,ij,knj->mn", ch.operators, rho, ch.operators.conj())
-    if isinstance(ch, UnitaryChannel):
-        u = ch.unitary
-        return partial_trace(u @ rho @ u.conj().T, (ch.d_b, ch.d_c), [0])
-    if isinstance(ch, DilatedChannel):
-        anc = np.zeros((ch.ancilla_dim, ch.ancilla_dim), dtype=complex)
-        anc[0, 0] = 1.0
-        big = np.kron(rho, anc)
-        u = ch.unitary
-        return partial_trace(u @ big @ u.conj().T, (ch.d_b, ch.env_dim), [0])
-    raise TypeError(f"not a channel: {type(ch)!r}")
+    if rho.shape != (ch.d_a, ch.d_a):
+        raise ValueError(f"input shape {rho.shape} does not match d_a={ch.d_a}")
+    ops = kraus_operators(ch)
+    return np.einsum("kmi,ij,knj->mn", ops, rho, ops.conj())
 
 
 def choi_matrix(ch: Channel) -> ChoiMatrix:
@@ -249,12 +237,10 @@ def dilation_dim(ch: Channel) -> int:
     Sampling memory and time scale with this squared, so callers can budget
     before building anything.
     """
-    if isinstance(ch, DilatedChannel):
-        return ch.d_u
-    if isinstance(ch, UnitaryChannel):
-        return ch.d_a
-    r, d_b, d_a = ch.operators.shape
-    return d_a * _dilation_ancilla(r, d_a, d_b)
+    if isinstance(ch, KrausChannel):
+        r, d_b, d_a = ch.operators.shape
+        return d_a * _dilation_ancilla(r, d_a, d_b)
+    return ch.unitary.shape[0]  # unitary and dilated channels run on their own unitary
 
 
 def stinespring_dilate(ch: Channel) -> DilatedChannel:

@@ -194,11 +194,15 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
 
 def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
     # dense: Choi matrix, dilation, exact dual, estimator, otoc's kron(B^t, A);
-    # rows: the sampled dual states at the full dilation width, an upper bound
-    # on the kept ancilla-0 columns that dual_ensemble computes
+    # rows: the sampled dual states, d_b * d_a wide; draws: one Haar vector on
+    # the dilation's environment per row, wider than a row when d_b^2 < ancilla
     d_u = dilation_dim(ch)
     dense = max(d_u, ch.d_a * ch.d_b)
-    return {"dense_matrix": dense * dense, "state_rows": n_rows * ch.d_b * d_u}
+    return {
+        "dense_matrix": dense * dense,
+        "state_rows": n_rows * ch.d_b * ch.d_a,
+        "haar_draws": n_rows * (d_u // ch.d_b),
+    }
 
 
 def _load_observable(text: str) -> np.ndarray:

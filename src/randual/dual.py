@@ -13,9 +13,12 @@ U on the input space read as (d_b, d_c), the dual is the rank-d_c projector
     rho_X = (1/d_c) (I (x) U^dag) (|phi+><phi+| (x) I_c) (I (x) U),
 
 |phi+> the normalized maximally entangled state pairing the ancilla with the
-output factor. The same matrix is obtained from the Choi matrix by a global
-transpose followed by the (input copy, output) -> (output copy, input)
-factor swap, which is how the dual of a general channel is computed here.
+output factor. Every channel's dual, this one included, is built from its
+operator-sum form {K_k} = kraus_operators(ch) as rho_X = W W^dag, with
+column k of W the conjugated operator conj(K_k) / sqrt(d_a) on the dual
+layout. (The Choi matrix holds the same entries: a global transpose and the
+(input copy, output) -> (output copy, input) factor swap turn one into the
+other.)
 
 Sampling replaces the projector average with random pure states: each draw
 applies I (x) U^dag to |phi+> (x) |psi> with |psi> Haar on the traced
@@ -53,7 +56,6 @@ import numpy as np
 
 from .channels import (
     Channel,
-    ChoiMatrix,
     UnitaryChannel,
     choi_matrix,
     choi_pairing,
@@ -72,18 +74,17 @@ KIND_POSTSELECTED = "general_postselected"
 
 @dataclass(frozen=True)
 class DualStateEnsemble:
-    """Random dual states stacked row-wise, each of dimension d_b * d_a.
+    """Random dual states of a channel stacked row-wise, each of dimension
+    d_b * d_a.
 
-    unitary_induced rows are unit vectors; general_postselected rows are
-    normalized in expectation only.
+    d_a, d_b and kind are read off the channel: a UnitaryChannel gives
+    unitary_induced rows, which are unit vectors; any other channel gives
+    general_postselected rows, normalized in expectation only.
     """
 
     states: np.ndarray
     master_seed: int
     channel: Channel
-    kind: str
-    d_a: int
-    d_b: int
 
     def __post_init__(self) -> None:
         s = np.asarray(self.states, dtype=complex)
@@ -91,9 +92,19 @@ class DualStateEnsemble:
             raise ValueError("states must be a nonempty row stack")
         if s.shape[1] != self.d_b * self.d_a:
             raise ValueError(f"state dimension {s.shape[1]} != d_b*d_a = {self.d_b * self.d_a}")
-        if self.kind not in (KIND_UNITARY, KIND_POSTSELECTED):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
         object.__setattr__(self, "states", s)
+
+    @property
+    def d_a(self) -> int:
+        return self.channel.d_a
+
+    @property
+    def d_b(self) -> int:
+        return self.channel.d_b
+
+    @property
+    def kind(self) -> str:
+        return KIND_UNITARY if isinstance(self.channel, UnitaryChannel) else KIND_POSTSELECTED
 
     @property
     def n_samples(self) -> int:
@@ -123,12 +134,6 @@ class DistanceReport:
     trace_distance: float
     bound: float
     n_samples: int
-
-
-def _require_unitary_kind(ch: Channel) -> UnitaryChannel:
-    if not isinstance(ch, UnitaryChannel):
-        raise TypeError(f"operation needs a unitary-induced channel, got {type(ch).__name__}")
-    return ch
 
 
 def _batch_states(cols: np.ndarray, psis: np.ndarray) -> np.ndarray:
@@ -167,12 +172,9 @@ def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEns
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if isinstance(ch, UnitaryChannel):
-        u, d_a, d_b, nu, kind = ch.unitary, ch.d_a, ch.d_b, 1, KIND_UNITARY
-    else:
-        dil = stinespring_dilate(ch)
-        u, d_a, d_b, nu, kind = dil.unitary, dil.d_a, dil.d_b, dil.ancilla_dim, KIND_POSTSELECTED
-    d_env = u.shape[0] // d_b
+    u = ch.unitary if isinstance(ch, UnitaryChannel) else stinespring_dilate(ch).unitary
+    d_a, d_b = ch.d_a, ch.d_b
+    nu, d_env = u.shape[0] // d_a, u.shape[0] // d_b
     psis = np.empty((n_samples, d_env), dtype=complex)
     for k in range(n_samples):
         psis[k] = haar_state(d_env, SeedSpec(master_seed, k).rng())
@@ -182,18 +184,7 @@ def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEns
     states = _batch_states(cols, psis)
     if nu > 1:
         states *= np.sqrt(nu)
-    return DualStateEnsemble(states, master_seed, ch, kind, d_a, d_b)
-
-
-def exact_dual_state(ch: UnitaryChannel) -> np.ndarray:
-    """Closed-form dual of a unitary-induced channel.
-
-    Equals (1/d_c) sum_c |w_c><w_c| with w_c = (I (x) U^dag)(|phi+> (x) |c>),
-    an orthogonal decomposition, so the result is PSD with unit trace, rank
-    d_c, and satisfies rho^2 = rho / d_c.
-    """
-    w = exact_dual_factor(_require_unitary_kind(ch))
-    return w @ w.conj().T
+    return DualStateEnsemble(states, master_seed, ch)
 
 
 def exact_dual_factor(ch: Channel) -> np.ndarray:
@@ -209,20 +200,15 @@ def exact_dual_factor(ch: Channel) -> np.ndarray:
     return ops.conj().reshape(ops.shape[0], ch.d_b * ch.d_a).T / np.sqrt(ch.d_a)
 
 
-def dual_from_choi(choi: ChoiMatrix) -> np.ndarray:
-    """Dual state from the Choi matrix: global transpose, then swap the
-    (input copy, output) factors into the dual's (output copy, input) order."""
-    d_a, d_b = choi.d_a, choi.d_b
-    t = choi.matrix.T.reshape(d_a, d_b, d_a, d_b)
-    d = d_a * d_b
-    return np.ascontiguousarray(t.transpose(1, 0, 3, 2)).reshape(d, d)
-
-
 def exact_dual(ch: Channel) -> np.ndarray:
-    """Exact dual state of any channel variant."""
-    if isinstance(ch, UnitaryChannel):
-        return exact_dual_state(ch)
-    return dual_from_choi(choi_matrix(ch))
+    """Exact dual state W W^dag of any channel, W = exact_dual_factor(ch).
+
+    PSD with unit trace. For a unitary-induced channel it equals
+    (1/d_c) sum_c |w_c><w_c| with w_c = (I (x) U^dag)(|phi+> (x) |c>), an
+    orthogonal decomposition, so it has rank d_c and rho^2 = rho / d_c.
+    """
+    w = exact_dual_factor(ch)
+    return w @ w.conj().T
 
 
 def dual_estimate(ens: DualStateEnsemble) -> np.ndarray:
@@ -286,7 +272,7 @@ def estimate_observable(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) ->
     estimate = float(vals.mean())
     empirical = float(vals.std(ddof=1)) if n > 1 else float("nan")
     bound = None
-    if isinstance(ens.channel, UnitaryChannel) and ens.kind == KIND_UNITARY:
+    if ens.kind == KIND_UNITARY:
         bound = float(np.sqrt(variance_bound(ens.channel, a, b)))
     sigma = empirical if n > 1 else (bound if bound is not None else float("nan"))
     return EstimatorReport(
@@ -313,7 +299,8 @@ def variance_bound(ch: UnitaryChannel, a: np.ndarray, b: np.ndarray) -> float:
     Haar states and a norm inequality on the partial trace. Vanishes when A
     and B are both the identity.
     """
-    ch = _require_unitary_kind(ch)
+    if not isinstance(ch, UnitaryChannel):
+        raise TypeError(f"variance_bound needs a unitary-induced channel, got {type(ch).__name__}")
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     assert_hermitian(a, name="A")

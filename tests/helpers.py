@@ -8,9 +8,9 @@ import numpy as np
 
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
-from randual.channels import KRAUS_TOL_SCALE
+from randual.channels import KRAUS_TOL_SCALE, DilatedChannel
 from randual.dual import _batch_states
-from randual.linalg import assert_hermitian
+from randual.linalg import assert_hermitian, partial_trace
 
 # directory holding the imported package: src/ for a checkout, site-packages
 # for an install; a relative PYTHONPATH would not survive a changed cwd
@@ -183,3 +183,28 @@ def haar_second_moment(x, y, z):
     c1 = tx * tz / (d**2 - 1) - txz / (d * (d**2 - 1))
     c2 = txz * ty / (d**2 - 1) - tx * tz * ty / (d * (d**2 - 1))
     return c1 * y + c2 * np.eye(d, dtype=complex)
+
+
+def dual_from_choi(choi):
+    """Dual state from the Choi matrix: global transpose, then swap the
+    (input copy, output) factors into the dual's (output copy, input) order.
+    The Choi-side reference for exact_dual."""
+    d_a, d_b = choi.d_a, choi.d_b
+    t = choi.matrix.T.reshape(d_a, d_b, d_a, d_b)
+    d = d_a * d_b
+    return np.ascontiguousarray(t.transpose(1, 0, 3, 2)).reshape(d, d)
+
+
+def apply_channel_oracle(ch, rho):
+    """Channel action by each kind's own definition: the Kraus sum, the
+    partial trace of U rho U^dag over the traced factor, or the same for the
+    dilation acting on rho (x) |0><0|. The reference for apply_channel."""
+    rho = np.asarray(rho, dtype=complex)
+    if isinstance(ch, KrausChannel):
+        return np.einsum("kmi,ij,knj->mn", ch.operators, rho, ch.operators.conj())
+    u = ch.unitary
+    if isinstance(ch, DilatedChannel):
+        anc = np.zeros((ch.ancilla_dim, ch.ancilla_dim), dtype=complex)
+        anc[0, 0] = 1.0
+        rho = np.kron(rho, anc)
+    return partial_trace(u @ rho @ u.conj().T, (ch.d_b, u.shape[0] // ch.d_b), [0])

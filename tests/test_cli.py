@@ -8,6 +8,7 @@ import pytest
 
 from randual import cli
 from randual.channels import KrausChannel, UnitaryChannel, save_channel
+from randual.dual import EstimatorReport
 from randual.rng import haar_unitary
 
 from helpers import depolarizing, random_kraus_channel, run_cli
@@ -463,15 +464,43 @@ def test_budget_prices_chain_sizes(argv, code, monkeypatch, tmp_path):
 
 
 def test_budget_boundary_and_force():
-    # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b
-    elements = cli._channel_elements(KrausChannel(np.zeros((64, 64, 64))), n_rows=10)
-    assert elements == {"dense_matrix": 4096**2, "state_rows": 10 * 64 * 4096}
-    cli._check_budget(False, **elements)  # exactly MAX_UNFORCED_BYTES
+    # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b, and
+    # 4096 rows of d_b * d_a = 4096 entries, each exactly MAX_UNFORCED_BYTES
+    ch = KrausChannel(np.zeros((64, 64, 64)))
+    elements = cli._channel_elements(ch, n_rows=4096)
+    assert elements == {"dense_matrix": 4096**2, "state_rows": 4096 * 64 * 64, "haar_draws": 4096 * 64}
+    cli._check_budget(False, **elements)
+    with pytest.raises(cli.ResourceCapError, match="state rows"):
+        cli._check_budget(False, **cli._channel_elements(ch, n_rows=4097))
+    # 4 -> 1 with r = 4: the environment draws are 16 wide, the rows 4 wide
+    draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), n_rows=10)
+    assert draws["haar_draws"] == 4 * draws["state_rows"] == 160
     with pytest.raises(cli.ResourceCapError, match="dense matrix"):
         cli._check_budget(False, dense_matrix=4096**2 + 1, time_grid=3)
     with pytest.raises(cli.ResourceCapError, match="time grid"):
         cli._check_budget(False, dense_matrix=4, time_grid=2**40)
     cli._check_budget(True, dense_matrix=1 << 1200)  # --n 600 --force
+
+
+def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch):
+    # 16 -> 4, r = 4: N = 100000 rows of d_b * d_a = 64 entries take 2^26.6
+    # bytes, under the budget; sampling is stubbed so none are built
+    path = tmp_path / "kraus.json"
+    save_channel(random_kraus_channel(np.random.default_rng(0), 16, 4, 4), str(path))
+    sampled = []
+    monkeypatch.setattr(cli, "dual_ensemble", lambda ch, n, seed: sampled.append(n))
+    monkeypatch.setattr(
+        cli, "estimate_observable", lambda ens, a, b: EstimatorReport(0.0, 0.0, None, 0.0, 100000)
+    )
+    code = cli.main([
+        "estimate", str(path),
+        "--observable-a", mat_json(np.eye(16)),
+        "--observable-b", mat_json(np.eye(4)),
+        "--n-samples", "100000",
+        "--output-dir", str(tmp_path / "out"),
+    ])  # fmt: skip
+    assert code == 0
+    assert sampled == [100000]
 
 
 def test_budget_prices_absurd_site_counts_without_big_ints(tmp_path):

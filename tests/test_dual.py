@@ -18,12 +18,10 @@ from randual.dual import (
     distance_table,
     dual_ensemble,
     dual_estimate,
-    dual_from_choi,
     duality_pairing,
     estimate_observable,
     exact_dual,
     exact_dual_factor,
-    exact_dual_state,
     rank1_variance_bound,
     sample_values,
     variance_bound,
@@ -33,8 +31,10 @@ from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
 
 from helpers import (
     amplitude_damping,
+    apply_channel_oracle,
     batch_states_oracle,
     depolarizing,
+    dual_from_choi,
     full_dilation_rows_oracle,
     max_entangled_state,
     random_hermitian,
@@ -45,7 +45,7 @@ from helpers import (
 
 
 def exact_value(ch, a, b):
-    return np.trace(apply_channel(ch, a) @ b).real
+    return np.trace(apply_channel_oracle(ch, a) @ b).real
 
 
 def exact_sample_variance(ch, a, b):
@@ -86,7 +86,7 @@ def test_exact_dual_invariants():
     rng = np.random.default_rng(1)
     for d_a, d_b in [(4, 2), (8, 2), (6, 3), (9, 3)]:
         ch = random_unitary_channel(d_a, d_b, rng)
-        rho = exact_dual_state(ch)
+        rho = exact_dual(ch)
         d_c = ch.d_c
         assert np.allclose(rho, rho.conj().T, atol=1e-12)
         assert np.isclose(np.trace(rho).real, 1.0, atol=1e-12)
@@ -117,14 +117,14 @@ def test_exact_dual_reproduces_channel_pairing():
 
 def test_duality_pairing_identity_normalization():
     ch = random_unitary_channel(6, 2, np.random.default_rng(3))
-    rho = exact_dual_state(ch)
+    rho = exact_dual(ch)
     val = duality_pairing(rho, np.eye(6), np.eye(2))
     assert np.isclose(val, 6.0, atol=1e-10)
 
 
 def test_duality_pairing_input_checks():
     ch = random_unitary_channel(4, 2, np.random.default_rng(4))
-    rho = exact_dual_state(ch)
+    rho = exact_dual(ch)
     herm = np.eye(2)
     with pytest.raises(ValueError):
         duality_pairing(rho, np.array([[0.0, 1.0], [0.0, 0.0]]), herm)  # not Hermitian
@@ -235,7 +235,7 @@ def test_exact_dual_state_matches_einsum_oracle(d_a, d_b):
     w = ch.unitary.conj().reshape(d_b, ch.d_c, d_a).transpose(0, 2, 1) / np.sqrt(d_b)
     d = d_b * d_a
     want = (np.einsum("ric,sjc->risj", w, w.conj()) / ch.d_c).reshape(d, d)
-    assert _rel_err(exact_dual_state(ch), want) <= 1e-12
+    assert _rel_err(exact_dual(ch), want) <= 1e-12
 
 
 @pytest.mark.parametrize("channel", ["unitary", "kraus"])
@@ -279,7 +279,7 @@ def test_rank1_bound_dominates_empirical():
 def test_mean_distance_law():
     # mean of hs_distance^2 over repeated ensembles follows (1/N)(1 - 1/d_c)
     ch = random_unitary_channel(32, 2, np.random.default_rng(12))  # d_c = 16
-    exact = exact_dual_state(ch)
+    exact = exact_dual(ch)
     n = 50
     vals = [
         hs_distance(dual_estimate(dual_ensemble(ch, n, master_seed=600 + t)), exact) ** 2
@@ -291,7 +291,7 @@ def test_mean_distance_law():
 
 def test_distance_scaling_slope():
     ch = random_unitary_channel(8, 2, np.random.default_rng(13))
-    exact = exact_dual_state(ch)
+    exact = exact_dual(ch)
     ns = np.array([10, 50, 100, 500])
     means = []
     for n in ns:
@@ -360,9 +360,7 @@ def test_ensemble_construction_checks():
     assert dual_ensemble(depolarizing(0.1), 3, master_seed=1).kind == KIND_POSTSELECTED
     states = dual_ensemble(ch, 2, master_seed=1).states
     with pytest.raises(ValueError):
-        DualStateEnsemble(states, 1, ch, "mystery_kind", 4, 2)
-    with pytest.raises(ValueError):
-        DualStateEnsemble(states[:, :4], 1, ch, "unitary_induced", 4, 2)
+        DualStateEnsemble(states[:, :4], 1, ch)
 
 
 @pytest.mark.parametrize("kind", [UnitaryChannel, DilatedChannel, KrausChannel])
@@ -432,8 +430,28 @@ def test_exact_dual_factor_reproduces_exact_dual(kind):
     ch = _every_channel_kind()[kind]
     w = exact_dual_factor(ch)
     assert w.shape[0] == ch.d_b * ch.d_a
-    assert np.abs(w @ w.conj().T - exact_dual(ch)).max() <= 1e-14
-    assert np.abs(w @ w.conj().T - dual_from_choi(choi_matrix(ch))).max() <= 1e-14
+    assert np.array_equal(exact_dual(ch), w @ w.conj().T)
+    assert np.abs(exact_dual(ch) - dual_from_choi(choi_matrix(ch))).max() <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+def test_apply_channel_matches_kind_oracle(kind):
+    ch = _every_channel_kind()[kind]
+    rng = np.random.default_rng(48)
+    for rho in (random_hermitian(rng, ch.d_a), np.eye(ch.d_a)):
+        assert np.abs(apply_channel(ch, rho) - apply_channel_oracle(ch, rho)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+def test_ensemble_metadata_is_read_off_the_channel(kind):
+    ch = _every_channel_kind()[kind]
+    states = dual_ensemble(ch, 3, master_seed=49).states
+    ens = DualStateEnsemble(states, 49, ch)
+    assert (ens.d_a, ens.d_b) == (ch.d_a, ch.d_b)
+    assert ens.kind == (KIND_UNITARY if kind == "unitary" else KIND_POSTSELECTED)
+    for width in (ch.d_b * ch.d_a - 1, ch.d_b * ch.d_a + 1, ch.d_a, ch.d_b):
+        with pytest.raises(ValueError):
+            DualStateEnsemble(np.ones((3, width)), 49, ch)
 
 
 def test_exact_dual_state_bits_unchanged():
@@ -441,13 +459,13 @@ def test_exact_dual_state_bits_unchanged():
     d_b, d_c, d_a = ch.d_b, ch.d_c, ch.d_a
     w = ch.unitary.conj().reshape(d_b, d_c, d_a).transpose(0, 2, 1) / np.sqrt(d_b * d_c)
     w = w.reshape(d_b * d_a, d_c)
-    assert np.array_equal(exact_dual_state(ch), w @ w.conj().T)
+    assert np.array_equal(exact_dual(ch), w @ w.conj().T)
 
 
 @pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
 def test_distance_report_matches_dense_distances(kind):
     ch = _every_channel_kind()[kind]
-    exact = exact_dual(ch)
+    exact = dual_from_choi(choi_matrix(ch))
     d, r = exact.shape[0], exact_dual_factor(ch).shape[1]
     # N + r on both sides of d picks the QR and the dense branch in turn
     for n in sorted({1, *(m - r for m in (d - 1, d, d + 1) if m > r)}):

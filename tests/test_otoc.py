@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from randual.channels import UnitaryChannel
-from randual.dual import dual_ensemble, exact_dual_state
+from randual.dual import dual_ensemble, exact_dual
 from randual.linalg import kron
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 
@@ -29,7 +29,7 @@ def test_exact_value_three_routes_agree():
     f = otoc_exact(spec)
     # via the exact dual state and the doubled observable
     o = np.kron(spec.b.T, spec.a)
-    rho = exact_dual_state(ch)
+    rho = exact_dual(ch)
     f_dual = d_a**2 * np.trace(o @ rho @ o @ rho).real
     # via the four-point form with the lifted projector
     w = ch.unitary @ spec.a @ ch.unitary.conj().T

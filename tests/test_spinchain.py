@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from randual.channels import UnitaryChannel
-from randual.dual import dual_ensemble, dual_estimate, exact_dual_state
+from randual.dual import dual_ensemble, dual_estimate, exact_dual
 from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
     IsingConfig,
@@ -200,7 +200,7 @@ def test_mean_squared_distance_chain_channel():
     ham = ising_hamiltonian(6, 1.05, 0.5)
     u = unitary_evolution(ham, 1.0)
     ch = UnitaryChannel(u, d_b=2)
-    exact = exact_dual_state(ch)
+    exact = exact_dual(ch)
     n = 50
     vals = []
     for t in range(20):

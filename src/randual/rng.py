@@ -3,15 +3,25 @@
 Every Monte Carlo draw in the package is keyed by a SeedSpec: a master seed
 plus the index of the sample inside its ensemble. The stream for index k is
 produced by a Philox bit generator (counter based, 128-bit key, 256-bit
-counter) keyed through numpy's SeedSequence with spawn key (k,). Sample k is
-therefore a pure function of (master_seed, k): it does not depend on how many
-other samples were drawn or in which order, so ensembles can be generated in
-parallel and still reproduce bit for bit. The construction is pinned to
-numpy >= 1.26, whose Generator streams are covered by the numpy stream
-compatibility policy.
+counter) whose key is the one numpy's SeedSequence(master_seed,
+spawn_key=(k,)) generates. Sample k is therefore a pure function of
+(master_seed, k): it does not depend on how many other samples were drawn or
+in which order, so ensembles can be generated in parallel and still
+reproduce bit for bit. The construction is pinned to numpy >= 1.26, whose
+Generator streams are covered by the numpy stream compatibility policy.
+
+The key is SeedSequence's hash computed in-house. Its hash constants never
+depend on the data, so the pool state after the master-seed words is
+computed once per master seed and the keys of 4096 consecutive indices in
+one vectorized uint32 pass; no SeedSequence object is built per sample. The
+Philox behind SeedSpec.rng() therefore holds only its key as seed_seq, and
+spawning from it is unsupported. child_seed, which runs a handful of times
+per command, stays on numpy's SeedSequence.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +30,120 @@ import numpy as np
 # never collide with the per-sample spawn keys used by SeedSpec.rng().
 _CHILD_TAG = 0x5EED
 
+# numpy's SeedSequence hash on a pool of 4 uint32 words: hashmix constants
+# for mixing entropy (A) and for generate_state (B), then the pool-mix
+# multipliers. Keys are cached in blocks of 4096 sample indices (64 KiB);
+# ensembles walk their indices in order, so two cached blocks suffice, and
+# more long-lived blocks churned per master seed fragment the heap.
+_MASK32, _POOL, _BLOCK = 0xFFFFFFFF, 4, 4096
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Master seed plus sample index, addressing one random stream."""
+    """Master seed plus sample index, addressing one random stream.
+
+    rng() returns the Generator(Philox(SeedSequence(master_seed,
+    spawn_key=(sample_index,)))) stream bit for bit, with the key read from
+    a cached table of SeedSequence's hash; its seed_seq holds only that key,
+    so spawning from it is unsupported.
+    """
 
     master_seed: int
     sample_index: int = 0
 
     def __post_init__(self) -> None:
-        if self.master_seed < 0:
+        if operator.index(self.master_seed) < 0:
             raise ValueError("master_seed must be nonnegative")
-        if self.sample_index < 0:
+        if operator.index(self.sample_index) < 0:
             raise ValueError("sample_index must be nonnegative")
 
     def rng(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.sample_index,))
-        return np.random.Generator(np.random.Philox(seq))
+        block, j = divmod(self.sample_index, _BLOCK)
+        key = _key_block(self.master_seed, block)[j]
+        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
+
+
+def _words(n: int) -> list[int]:
+    """n as little-endian uint32 words, the way SeedSequence reads an int."""
+    return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hash of value (an int or a uint32 array) and the next
+    hash constant, which depends only on how many hashes came before."""
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _absorb(pool: list, const: int, word, skip: int = -1) -> int:
+    """Mix hashmix(word) into every pool word but pool[skip]; returns the
+    next hash constant."""
+    for i in range(_POOL):
+        if i != skip:
+            h, const = _hashmix(word, const)
+            mixed = (_MIX_L * pool[i] - _MIX_R * h) & _MASK32
+            pool[i] = mixed ^ (mixed >> 16)
+    return const
+
+
+@functools.lru_cache(maxsize=8)
+def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence pool and hash constant after the master-seed words,
+    zero-padded to the pool size as they are when a spawn key follows."""
+    words = _words(master_seed)
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for w in words[:_POOL]:
+        h, const = _hashmix(w, const)
+        pool.append(h)
+    for src in range(_POOL):
+        const = _absorb(pool, const, pool[src], skip=src)
+    for w in words[_POOL:]:
+        const = _absorb(pool, const, w)
+    return tuple(pool), const
+
+
+@functools.lru_cache(maxsize=2)
+def _key_block(master_seed: int, block: int) -> np.ndarray:
+    """Read-only (4096, 2) uint64 table whose row j is the Philox key
+    SeedSequence(master_seed, spawn_key=(block*4096 + j,)) generates. A
+    block never straddles a multiple of 2**32, so only the low index word
+    varies inside it."""
+    pool, const = _master_pool(int(master_seed))
+    pool = [np.full(_BLOCK, p, dtype=np.uint32) for p in pool]
+    low, *high = _words(int(block) * _BLOCK)
+    const = _absorb(pool, const, low + np.arange(_BLOCK, dtype=np.uint32))
+    for w in high:
+        const = _absorb(pool, const, np.full(_BLOCK, w, dtype=np.uint32))
+    words, const = np.empty((_BLOCK, _POOL), dtype="<u4"), _INIT_B
+    for i in range(_POOL):
+        words[:, i], const = _hashmix(pool[i], const, _MULT_B)
+    keys = words.view("<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """ISeedSequence handing Philox one precomputed key. Defined on first use:
+    a module-level import of numpy.random.bit_generator would load
+    numpy.random, hashlib and secrets on `import randual`."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key: np.ndarray) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds one Philox key: generate_state(2, np.uint64) only")
+            return self.key
+
+    return PhiloxKey
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -79,7 +186,8 @@ def haar_state(d: int, seed) -> np.ndarray:
     v = np.empty(d, dtype=complex)
     v.real = g[:d]
     v.imag = g[d:]
-    v /= np.linalg.norm(v)
+    # np.linalg.norm's own expression for a complex vector, minus its dispatch
+    v /= np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     return v
 
 

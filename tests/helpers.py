@@ -40,6 +40,28 @@ def run_cli(args, cwd, env=None):
     return run_python(["-m", "randual", *args], cwd, env)
 
 
+def seedsequence_rng(master_seed, sample_index):
+    """The stream at (master_seed, sample_index) by numpy's own SeedSequence:
+    the reference for SeedSpec.rng()."""
+    seq = np.random.SeedSequence(master_seed, spawn_key=(sample_index,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def assert_same_stream(got, want):
+    """Two Philox Generators hold the same key, counter and buffer, then
+    make the same draws."""
+    gs, ws = got.bit_generator.state, want.bit_generator.state
+    assert gs["bit_generator"] == ws["bit_generator"] == "Philox"
+    for name in ("key", "counter"):
+        assert gs["state"][name].dtype == ws["state"][name].dtype == np.uint64
+        assert np.array_equal(gs["state"][name], ws["state"][name])
+    assert np.array_equal(gs["buffer"], ws["buffer"])
+    for name in ("buffer_pos", "has_uint32", "uinteger"):
+        assert gs[name] == ws[name]
+    assert got.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+    assert np.array_equal(got.integers(0, 2**64, 5, dtype=np.uint64), want.integers(0, 2**64, 5, dtype=np.uint64))
+
+
 def random_hermitian(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return m + m.conj().T

@@ -41,6 +41,7 @@ from helpers import (
     random_kraus_channel,
     random_unitary_channel,
     sample_dual_state,
+    seedsequence_rng,
 )
 
 
@@ -376,6 +377,20 @@ def test_ensemble_prefix_property_every_channel_kind(kind):
     assert np.array_equal(short.states, long.states[:7])
     want = KIND_UNITARY if kind is UnitaryChannel else KIND_POSTSELECTED
     assert short.kind == long.kind == want
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus"])
+def test_ensemble_rows_across_a_key_block_match_seedsequence_draws(kind):
+    # rows on both sides of the first 4096-index key block are the single
+    # draws at their (master_seed, k) address, keyed by numpy's SeedSequence
+    rng = np.random.default_rng(48)
+    ch = random_unitary_channel(8, 2, rng) if kind == "unitary" else random_kraus_channel(rng, 16, 4, 4)
+    ens = dual_ensemble(ch, 4097, master_seed=49)
+    dil = stinespring_dilate(ch)
+    for k in (0, 4095, 4096):
+        psi = haar_state(dil.env_dim, seedsequence_rng(49, k))
+        want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psi[np.newaxis])
+        assert np.array_equal(ens.states[k], want[0])
 
 
 @pytest.mark.parametrize("kind", ["unitary", "dilated", "kraus"])

@@ -13,9 +13,9 @@ from randual.channels import (
     save_channel,
 )
 from randual.dual import duality_pairing, exact_dual
-from randual.rng import haar_unitary
+from randual.rng import SeedSpec, haar_unitary
 
-from helpers import random_hermitian, random_kraus_channel
+from helpers import assert_same_stream, random_hermitian, random_kraus_channel, seedsequence_rng
 
 # derandomized and without an example database: the same examples on every run
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=25)
@@ -62,3 +62,9 @@ def test_exact_dual_pairing_identity(ch, seed):
     b = random_hermitian(rng, ch.d_b)
     want = np.trace(apply_channel(ch, a) @ b).real
     assert abs(duality_pairing(exact_dual(ch), a, b) - want) <= 1e-10
+
+
+@settings(SETTINGS, max_examples=200)
+@given(master=st.integers(0, 2**200 - 1), index=st.integers(0, 2**40 - 1))
+def test_seedspec_stream_matches_seedsequence(master, index):
+    assert_same_stream(SeedSpec(master, index).rng(), seedsequence_rng(master, index))

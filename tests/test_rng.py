@@ -2,9 +2,14 @@
 import numpy as np
 import pytest
 
-from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
+from randual.rng import SeedSpec, _key_block, _master_pool, child_seed, haar_state, haar_unitary
 
-from helpers import haar_second_moment, random_hermitian
+from helpers import assert_same_stream, haar_second_moment, random_hermitian, seedsequence_rng
+
+# master seeds of 1, 1, 2, 2, 3, 4 and 5 uint32 entropy words
+ORACLE_MASTERS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**127, 2**130 + 3]
+# both edges of the first key block, and one- and two-word indices
+ORACLE_INDICES = [0, 4095, 4096, 2**32 - 1, 2**32, 2**33 + 7]
 
 
 def test_seedspec_streams_are_reproducible_and_distinct():
@@ -17,11 +22,49 @@ def test_seedspec_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("master", ORACLE_MASTERS)
+@pytest.mark.parametrize("index", ORACLE_INDICES)
+def test_seedspec_stream_matches_seedsequence_oracle(master, index):
+    assert_same_stream(SeedSpec(master, index).rng(), seedsequence_rng(master, index))
+
+
+def test_seedspec_stream_holds_only_its_key():
+    g = SeedSpec(3, 4097).rng()
+    want = np.random.SeedSequence(3, spawn_key=(4097,)).generate_state(2, np.uint64)
+    assert np.array_equal(g.bit_generator.seed_seq.generate_state(2, np.uint64), want)
+    with pytest.raises(ValueError):
+        g.bit_generator.seed_seq.generate_state(4, np.uint32)
+    with pytest.raises(TypeError):
+        g.spawn(1)
+
+
+def test_key_table_is_read_only_and_cache_is_bounded():
+    keys = _key_block(5, 1)
+    assert keys.shape == (4096, 2) and keys.dtype == np.uint64
+    with pytest.raises(ValueError):
+        keys[0, 0] = 0
+    with pytest.raises(ValueError):
+        keys[7][1] = 0
+    for j in (0, 7, 4095):
+        want = np.random.SeedSequence(5, spawn_key=(4096 + j,)).generate_state(2, np.uint64)
+        assert np.array_equal(keys[j], want)
+    for block in range(20):
+        _key_block(6, block)
+    for cached in (_key_block, _master_pool):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 8
+        assert info.currsize <= info.maxsize
+
+
 def test_seedspec_rejects_negative():
     with pytest.raises(ValueError):
         SeedSpec(-1)
     with pytest.raises(ValueError):
         SeedSpec(0, -2)
+    with pytest.raises(TypeError):
+        SeedSpec(1.5)
+    with pytest.raises(TypeError):
+        SeedSpec(1, 2.0)
 
 
 def test_child_seed_deterministic_and_separated():
@@ -62,7 +105,7 @@ def test_haar_state_norm_and_determinism():
         haar_state(0, 1)
 
 
-@pytest.mark.parametrize("d", [1, 2, 16, 17, 512])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 17, 64, 255, 512, 1024, 4096])
 def test_haar_state_bits_match_two_draw_form(d):
     # real parts then imaginary parts, as two consecutive d-wide draws
     for k in range(5):

@@ -50,22 +50,17 @@ columns that survive the projection are multiplied.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    UnitaryChannel,
-    choi_matrix,
-    choi_pairing,
-    kraus_operators,
-    stinespring_dilate,
-)
+from .channels import Channel, UnitaryChannel, kraus_operators, stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
-# A^2 = A and tr A = 1 are enforced to this tolerance in rank1_variance_bound.
+# A^2 = A and tr A = 1 (for a vector, ||v||^2 = 1) are enforced to this
+# tolerance in rank1_variance_bound.
 PROJECTOR_ATOL = 1e-10
 
 KIND_UNITARY = "unitary_induced"
@@ -242,30 +237,55 @@ def duality_pairing(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(val.real)
 
 
+def _observables(a: np.ndarray, b: np.ndarray, d_a: int, d_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as complex arrays, checked against (d_a, d_b).
+
+    B must be a Hermitian d_b x d_b matrix. A is either a Hermitian
+    d_a x d_a matrix or a finite vector v of length d_a standing for the
+    rank-1 operator |v><v|, which is never formed.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim == 1:
+        if not np.isfinite(a).all():
+            raise ValueError("A vector has non-finite entries")
+    elif a.ndim == 2:
+        assert_hermitian(a, name="A")
+    else:
+        raise ValueError(f"A must be a vector or a square matrix, got {a.ndim} dimensions")
+    assert_hermitian(b, name="B")
+    if a.shape[0] != d_a or b.shape[0] != d_b:
+        raise ValueError(f"observable dimensions ({a.shape[0]}, {b.shape[0]}) != (d_a, d_b) = ({d_a}, {d_b})")
+    return a, b
+
+
 def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample estimates x_k = d_a <Psi_k|(B^t (x) A)|Psi_k>, as reals.
 
     Their mean estimates tr[X(A) B]; their spread is the ensemble's
-    intrinsic statistical error for this observable pair.
+    intrinsic statistical error for this observable pair. A is a Hermitian
+    d_a x d_a matrix, or a length-d_a vector v meaning A = |v><v|. With the
+    vector, y = S conj(v) for the states S read as (N, d_b, d_a), and
+    x_k = d_a sum_rs conj(y_kr) B_sr y_ks: O(N d_b d_a) work, no d_a^2 term.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    assert_hermitian(a, name="A")
-    assert_hermitian(b, name="B")
-    if a.shape[0] != ens.d_a or b.shape[0] != ens.d_b:
-        raise ValueError("observable dimensions do not match the ensemble")
-    s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)
-    vals = np.einsum("kri,sr,ij,ksj->k", s.conj(), b, a, s, optimize=True)
+    a, b = _observables(a, b, ens.d_a, ens.d_b)
+    if a.ndim == 1:
+        y = (ens.states.reshape(-1, ens.d_a) @ a.conj()).reshape(ens.n_samples, ens.d_b)
+        vals = np.einsum("kr,kr->k", y.conj(), y @ b)
+    else:
+        s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)
+        vals = np.einsum("kri,sr,ij,ksj->k", s.conj(), b, a, s, optimize=True)
     return ens.d_a * vals.real
 
 
 def estimate_observable(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> EstimatorReport:
     """Monte-Carlo estimate of tr[X(A) B] with error scales.
 
-    empirical_sigma is the ddof=1 sample deviation (nan for a single
-    sample); analytic_sigma_bound is the intrinsic-variance bound, available
-    for unitary-induced ensembles only. sigma_n divides whichever of the two
-    is usable by sqrt(N).
+    A is a Hermitian matrix or a vector v meaning A = |v><v|, as in
+    sample_values and variance_bound. empirical_sigma is the ddof=1 sample
+    deviation (nan for a single sample); analytic_sigma_bound is the
+    intrinsic-variance bound, available for unitary-induced ensembles only.
+    sigma_n divides whichever of the two is usable by sqrt(N).
     """
     vals = sample_values(ens, a, b)
     n = vals.size
@@ -298,16 +318,25 @@ def variance_bound(ch: UnitaryChannel, a: np.ndarray, b: np.ndarray) -> float:
     tracing the ancilla; the bound then follows from the second moment of
     Haar states and a norm inequality on the partial trace. Vanishes when A
     and B are both the identity.
+
+    A may be a vector v meaning A = |v><v|. Then X = |phi><phi| (B (x) I_c)
+    with phi = U v read as (d_b, d_c), and the numerator is exactly
+
+        d_a ||v||^2 ||(B (x) I_c) phi||^2 - |<phi|(B (x) I_c)|phi>|^2,
+
+    one mat-vec instead of a d^3 product. The subtracted term is at most
+    1/d_a of the first (Cauchy-Schwarz), so nothing cancels catastrophically;
+    the numerator is clamped at 0 against rounding when d_a = 1.
     """
     if not isinstance(ch, UnitaryChannel):
         raise TypeError(f"variance_bound needs a unitary-induced channel, got {type(ch).__name__}")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    assert_hermitian(a, name="A")
-    assert_hermitian(b, name="B")
-    if a.shape[0] != ch.d_a or b.shape[0] != ch.d_b:
-        raise ValueError("observable dimensions do not match the channel")
+    a, b = _observables(a, b, ch.d_a, ch.d_b)
     d_a, u = ch.d_a, ch.unitary
+    if a.ndim == 1:
+        phi = (u @ a).reshape(ch.d_b, ch.d_c)
+        b_phi = b @ phi
+        num = d_a * np.vdot(a, a).real * np.vdot(b_phi, b_phi).real - abs(np.vdot(phi, b_phi)) ** 2
+        return max(float(num), 0.0) / (ch.d_c + 1)
     # Z = U^dag (B (x) I_c) and Y = A Z, so that X = U Y. Z^T is conj(B^dag U)
     # read as (d_a, d_a), d_a^2 d_b work; Y^T = Z^T A^T is the one d^3 product.
     z_t = b.conj().T @ u.reshape(ch.d_b, ch.d_c * d_a)
@@ -328,18 +357,24 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
 
     For this observable class the single-sample variance never exceeds the
     squared mean mu_1 = tr[X(A) B], so N samples reach precision
-    |mu_1| / sqrt(N) regardless of dimensions.
+    |mu_1| / sqrt(N) regardless of dimensions. A is a projector matrix or a
+    unit vector v meaning A = |v><v|; mu_1 is sum_k <K_k v|B|K_k v> (for the
+    matrix, sum_k tr[K_k A K_k^dag B]) over the operators kraus_operators(ch).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    assert_hermitian(a, name="A")
-    assert_hermitian(b, name="B")
-    if np.abs(a @ a - a).max() > PROJECTOR_ATOL or abs(np.trace(a) - 1.0) > PROJECTOR_ATOL:
-        raise ValueError("A must be a rank-1 projector (A^2 = A, tr A = 1)")
+    a, b = _observables(a, b, ch.d_a, ch.d_b)
     if np.linalg.eigvalsh(b)[0] < -PROJECTOR_ATOL:
         raise ValueError("B must be positive semidefinite")
-    mu1 = choi_pairing(choi_matrix(ch), a, b)
-    return mu1 ** 2
+    ops = kraus_operators(ch)
+    if a.ndim == 1:
+        if abs(np.vdot(a, a).real - 1.0) > PROJECTOR_ATOL:
+            raise ValueError("A vector must have unit norm (tr |v><v| = 1)")
+        kv = ops @ a
+        mu1 = np.einsum("km,kn,mn->", kv.conj(), kv, b, optimize=True)
+    else:
+        if np.abs(a @ a - a).max() > PROJECTOR_ATOL or abs(np.trace(a) - 1.0) > PROJECTOR_ATOL:
+            raise ValueError("A must be a rank-1 projector (A^2 = A, tr A = 1)")
+        mu1 = np.einsum("kmi,ij,knj,nm->", ops, a, ops.conj(), b, optimize=True)
+    return float(mu1.real) ** 2
 
 
 def distance_report(ens: DualStateEnsemble, *, factor: np.ndarray | None = None) -> DistanceReport:
@@ -354,6 +389,13 @@ def distance_report(ens: DualStateEnsemble, *, factor: np.ndarray | None = None)
     formed directly.
     """
     w = exact_dual_factor(ens.channel) if factor is None else np.asarray(factor, dtype=complex)
+    return _distance_report(ens, w, lambda: w @ w.conj().T)
+
+
+def _distance_report(ens: DualStateEnsemble, w: np.ndarray, exact) -> DistanceReport:
+    """distance_report against the factor w; exact() returns W W^dag and is
+    called only when the d x d difference is formed. Its result is only
+    read, so one cached matrix can serve every cell of a table."""
     n, d = ens.states.shape
     if w.ndim != 2 or w.shape[0] != d:
         raise ValueError(f"factor shape {w.shape} does not have {d} rows")
@@ -366,7 +408,7 @@ def distance_report(ens: DualStateEnsemble, *, factor: np.ndarray | None = None)
         diff -= r[:, n:] @ r[:, n:].conj().T
     else:
         diff = dual_estimate(ens)
-        diff -= w @ w.conj().T
+        diff -= exact()
     lam = np.linalg.eigvalsh(diff)
     return DistanceReport(
         hs_distance=float(np.linalg.norm(lam)),
@@ -381,8 +423,9 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
 
     Each (N, trial) cell draws a fresh ensemble seeded by
     child_seed(seed, N index, trial) and measures it against one exact-dual
-    factor; rows carry N, trial, hs_distance, trace_distance and the
-    1/sqrt(N) mean bound.
+    factor W. W W^dag is formed once, by the first cell that needs the
+    d x d difference, and shared by the rest. Rows carry N, trial,
+    hs_distance, trace_distance and the 1/sqrt(N) mean bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -390,11 +433,12 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
     factor = exact_dual_factor(ch)
+    exact = functools.cache(lambda: factor @ factor.conj().T)
     rows = []
     for i, n_samples in enumerate(n_values):
         for trial in range(trials):
             ens = dual_ensemble(ch, n_samples, child_seed(seed, i, trial))
-            rep = distance_report(ens, factor=factor)
+            rep = _distance_report(ens, factor, exact)
             rows.append(
                 {
                     "N": n_samples,

@@ -9,8 +9,17 @@ import numpy as np
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
 from randual.channels import KRAUS_TOL_SCALE, DilatedChannel
-from randual.dual import _batch_states
-from randual.linalg import assert_hermitian, partial_trace
+from randual.dual import _batch_states, dual_ensemble, estimate_observable
+from randual.linalg import (
+    assert_hermitian,
+    evolution_from_eig,
+    hermitian_eig,
+    partial_trace,
+    sigma_y,
+    sigma_z,
+)
+from randual.rng import child_seed
+from randual.spinchain import ising_hamiltonian, polarized_state
 
 # directory holding the imported package: src/ for a checkout, site-packages
 # for an install; a relative PYTHONPATH would not survive a changed cwd
@@ -230,3 +239,22 @@ def apply_channel_oracle(ch, rho):
         anc[0, 0] = 1.0
         rho = np.kron(rho, anc)
     return partial_trace(u @ rho @ u.conj().T, (ch.d_b, u.shape[0] // ch.d_b), [0])
+
+
+def thermalization_dense_oracle(run):
+    """thermalization_experiment's rows with A = |psi_0><psi_0| formed as a
+    dense d x d matrix: the reference for the vector form of A."""
+    cfg = run.config
+    w, v = hermitian_eig(ising_hamiltonian(cfg.n, cfg.g, cfg.h))
+    psi0 = polarized_state(cfg.n, run.polarization)
+    a = np.outer(psi0, psi0.conj())
+    b = {"z": sigma_z, "y": sigma_y}[run.resolved_observable]
+    rows = []
+    for i, t in enumerate(run.times):
+        u = evolution_from_eig(w, v, float(t))
+        pt = (u @ psi0).reshape(2, -1)
+        exact = float(np.einsum("bi,bc,ci->", pt.conj(), b, pt).real)
+        ens = dual_ensemble(UnitaryChannel(u, d_b=2), run.n_samples, child_seed(run.seed, i))
+        rep = estimate_observable(ens, a, b)
+        rows.append({"time": float(t), "exact": exact, "estimate": rep.estimate, "sigma_n": rep.sigma_n})
+    return rows

@@ -8,8 +8,10 @@ from randual.channels import (
     UnitaryChannel,
     apply_channel,
     choi_matrix,
+    choi_pairing,
     stinespring_dilate,
 )
+from randual import dual
 from randual.dual import (
     KIND_POSTSELECTED,
     KIND_UNITARY,
@@ -230,6 +232,101 @@ def test_variance_bound_matches_dense_oracle(d_a, d_b):
         assert _rel_err(variance_bound(ch, a, b), want) <= 1e-12
 
 
+def _random_vector(rng, d, normalized):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return v / np.linalg.norm(v) if normalized else 3.7 * v
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (4, 4), (8, 2), (16, 4), (64, 8), (256, 2)])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_vector_observable_matches_dense_oracle(d_a, d_b, normalized):
+    # A given as v means |v><v|; the dense outer product is the oracle
+    rng = np.random.default_rng(d_a * 10 + d_b + normalized)
+    ch = random_unitary_channel(d_a, d_b, rng)
+    v = _random_vector(rng, d_a, normalized)
+    dense = np.outer(v, v.conj())
+    b = random_hermitian(rng, d_b)
+    ens = dual_ensemble(ch, 30, master_seed=31)
+    vals = sample_values(ens, dense, b)
+    assert _rel_err(sample_values(ens, v, b), vals) <= 1e-12
+    assert _rel_err(variance_bound(ch, v, b), variance_bound(ch, dense, b)) <= 1e-12
+    got, want = estimate_observable(ens, v, b), estimate_observable(ens, dense, b)
+    assert _rel_err(got.estimate, want.estimate) <= 1e-12
+    assert _rel_err(got.analytic_sigma_bound, want.analytic_sigma_bound) <= 1e-12
+    # relative to the values' scale: at d_c = 1 every sample is equal and the
+    # spread is rounding
+    for field in ("empirical_sigma", "sigma_n"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12 * np.abs(vals).max()
+    assert got.n_samples == want.n_samples
+
+
+@pytest.mark.parametrize("kind", ["kraus", "dilated", "depolarizing"])
+def test_vector_observable_on_postselected_ensembles(kind):
+    ch = _every_channel_kind()[kind]
+    rng = np.random.default_rng(32)
+    v = _random_vector(rng, ch.d_a, False)
+    b = random_hermitian(rng, ch.d_b)
+    ens = dual_ensemble(ch, 25, master_seed=33)
+    got = sample_values(ens, v, b)
+    assert _rel_err(got, sample_values(ens, np.outer(v, v.conj()), b)) <= 1e-12
+
+
+def test_vector_variance_bound_clamps_at_zero():
+    # d_a = d_b = 1: the two terms of the rank-1 numerator are equal, so
+    # rounding alone decides the sign of their difference on this grid
+    ch = UnitaryChannel(np.array([[np.exp(0.3j)]]), d_b=1)
+    b = np.array([[1.7]])
+    for x in np.linspace(0.1, 9.0, 60):
+        v = np.array([x * (1 - 0.37j) + 0.1])
+        bound = variance_bound(ch, v, b)
+        assert 0.0 <= bound <= 1e-14 * (1.7 * abs(v[0]) ** 2) ** 2
+        rep = estimate_observable(dual_ensemble(ch, 1, master_seed=34), v, b)
+        assert rep.sigma_n == rep.analytic_sigma_bound == np.sqrt(bound)
+
+
+def test_vector_observable_rejections():
+    ch = random_unitary_channel(8, 2, np.random.default_rng(35))
+    ens = dual_ensemble(ch, 5, master_seed=36)
+    b = np.diag([1.0, -1.0])
+    bad = [
+        np.ones(7),  # wrong length
+        np.ones(16),  # d_b * d_a is not d_a
+        np.array([1.0, np.nan, 0, 0, 0, 0, 0, 0]),
+        np.array([1.0, 0, 0, np.inf, 0, 0, 0, 0]),
+        np.array(1.0),  # ndim 0
+        np.ones((8, 8, 1)),  # ndim 3
+    ]
+    for a in bad:
+        for fn in (lambda a: sample_values(ens, a, b), lambda a: variance_bound(ch, a, b),
+                   lambda a: estimate_observable(ens, a, b)):  # fmt: skip
+            with pytest.raises(ValueError):
+                fn(a)
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+def test_rank1_bound_matches_choi_pairing(kind):
+    ch = _every_channel_kind()[kind]
+    rng = np.random.default_rng(37)
+    v = _random_vector(rng, ch.d_a, True)
+    a = np.outer(v, v.conj())
+    c = rng.normal(size=(ch.d_b, ch.d_b)) + 1j * rng.normal(size=(ch.d_b, ch.d_b))
+    b = c @ c.conj().T
+    want = choi_pairing(choi_matrix(ch), a, b) ** 2
+    assert _rel_err(rank1_variance_bound(ch, v, b), want) <= 1e-12
+    assert _rel_err(rank1_variance_bound(ch, a, b), want) <= 1e-12
+
+
+def test_rank1_bound_vector_validation():
+    ch = depolarizing(0.3)
+    psd = np.array([[0.7, 0.1], [0.1, 0.4]], dtype=complex)
+    assert rank1_variance_bound(ch, np.array([0.6, 0.8j]), psd) >= 0.0
+    for v in (np.array([1.0, 1.0]), np.array([0.0, 0.0]), np.array([1.0]), np.array([np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            rank1_variance_bound(ch, v, psd)
+    with pytest.raises(ValueError):
+        rank1_variance_bound(ch, np.array([1.0, 0.0]), np.diag([1.0, -0.2]))  # not PSD
+
+
 @pytest.mark.parametrize("d_a, d_b", [(8, 2), (16, 4), (32, 2)])
 def test_exact_dual_state_matches_einsum_oracle(d_a, d_b):
     ch = random_unitary_channel(d_a, d_b, np.random.default_rng(d_a + d_b))
@@ -427,6 +524,31 @@ def test_distance_table_cells_and_checks():
     for n_values, trials in (([4], 0), ([], 1), ([0], 1)):
         with pytest.raises(ValueError):
             distance_table(ch, n_values, trials, seed=24)
+
+
+@pytest.mark.parametrize("n_values, dense_cells", [([5, 20], 0), ([5, 40, 60], 4)])
+def test_distance_table_forms_exact_dual_once(monkeypatch, n_values, dense_cells):
+    # unitary 16 -> 2: d = 32, r = 8, so N = 5 and 20 take the QR branch
+    ch = random_unitary_channel(16, 2, np.random.default_rng(38))
+    formed = []
+    real = dual._distance_report
+
+    def spy(ens, w, exact):
+        def counted():
+            formed.append(exact())
+            return formed[-1]
+
+        return real(ens, w, counted)
+
+    monkeypatch.setattr(dual, "_distance_report", spy)
+    rows = distance_table(ch, n_values, trials=2, seed=39)
+    assert len(formed) == dense_cells
+    assert all(m is formed[0] for m in formed)
+    monkeypatch.undo()
+    for row in rows:
+        i = n_values.index(row["N"])
+        rep = distance_report(dual_ensemble(ch, row["N"], child_seed(39, i, row["trial"])))
+        assert (row["hs_distance"], row["trace_distance"]) == (rep.hs_distance, rep.trace_distance)
 
 
 def _every_channel_kind():

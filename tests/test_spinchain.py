@@ -15,6 +15,8 @@ from randual.spinchain import (
     thermalization_experiment,
 )
 
+from helpers import thermalization_dense_oracle
+
 THERMALIZE_KEYS = {"time", "exact", "estimate", "sigma_n", "bound"}
 DISTANCE_KEYS = {"N", "trial", "hs_distance", "trace_distance", "bound"}
 
@@ -141,6 +143,20 @@ def test_thermalization_y_polarization_tracks_y_observable():
     rows = thermalization_experiment(run)
     assert np.isclose(rows[0]["exact"], 1.0, atol=1e-12)
     assert abs(rows[0]["estimate"] - 1.0) <= rows[0]["bound"] + 1e-12
+
+
+@pytest.mark.parametrize("n, pol", [(4, "z"), (6, "y"), (8, "z"), (8, "y")])
+def test_thermalization_vector_observable_matches_dense_reference(n, pol):
+    # the experiment passes psi_0 as a vector; the reference forms |psi_0><psi_0|
+    run = ThermalizationRun(IsingConfig(n), pol, times=np.array([0.0, 0.75, 2.5]), n_samples=50, seed=21)
+    rows = thermalization_experiment(run)
+    want = thermalization_dense_oracle(run)
+    assert len(rows) == len(want)
+    for row, ref in zip(rows, want):
+        assert row["time"] == ref["time"]
+        assert row["exact"] == ref["exact"]
+        assert abs(row["estimate"] - ref["estimate"]) <= 1e-12
+        assert abs(row["sigma_n"] - ref["sigma_n"]) <= 1e-12
 
 
 def test_thermalization_determinism():

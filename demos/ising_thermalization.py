@@ -9,7 +9,7 @@ rides inside its 3 sigma_N band the whole way.
 
 import numpy as np
 
-from randual.spinchain import IsingConfig, ThermalizationRun, thermalization_experiment
+from randual.spinchain import thermalization_experiment
 
 
 def show(axis, rows, every=4):
@@ -26,10 +26,12 @@ def show(axis, rows, every=4):
 
 
 def main():
-    cfg = IsingConfig(8, g=1.05, h=0.5)
+    times = np.arange(0.0, 10.0 + 1e-9, 0.25)
     for axis, seed in (("z", 31), ("y", 32)):
-        run = ThermalizationRun(cfg, axis, n_samples=200, seed=seed)
-        show(axis, thermalization_experiment(run))
+        rows = thermalization_experiment(
+            n=8, polarization=axis, times=times, n_samples=200, seed=seed, g=1.05, h=0.5
+        )
+        show(axis, rows)
 
 
 if __name__ == "__main__":

@@ -60,8 +60,6 @@ from .dual import (
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .rng import SeedSpec, child_seed, haar_state, haar_unitary
 from .spinchain import (
-    IsingConfig,
-    ThermalizationRun,
     distance_scaling_experiment,
     ising_hamiltonian,
     thermalization_experiment,

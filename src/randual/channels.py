@@ -283,7 +283,10 @@ def validate_channel(ch: Channel) -> ChannelDiagnostics:
     ops = kraus_operators(ch)
     tp = hs_norm(np.einsum("kmi,kmj->ij", ops.conj(), ops) - np.eye(ch.d_a))
     choi = choi_matrix(ch)
-    w = np.linalg.eigvalsh(choi.matrix)
+    # an overflowing spec is invalid as it stands: skip the eigensolve, which
+    # would only fail to converge, and report a NaN spectrum
+    finite = np.isfinite(choi.matrix).all()
+    w = np.linalg.eigvalsh(choi.matrix) if finite else np.full(choi.matrix.shape[0], np.nan)
     unit = None
     if isinstance(ch, (UnitaryChannel, DilatedChannel)):
         u = ch.unitary

@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,12 +41,10 @@ import numpy as np
 from . import _BLAS_THREAD_VARS, __version__
 from .channels import _matrix_from_json, dilation_dim, load_channel, validate_channel
 from .dual import distance_table, dual_ensemble, estimate_observable
-from .otoc import OtocSpec, otoc_estimate, otoc_exact
+from .otoc import _ALL_PAIRS_CHUNK, OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
-    IsingConfig,
-    ThermalizationRun,
     distance_scaling_experiment,
     thermalization_experiment,
 )
@@ -105,18 +104,6 @@ def _write_json(path: Path, obj) -> None:
         f.write("\n")
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _environment() -> dict:
     """What the byte-identity of reruns depends on: interpreter, numpy, BLAS
     and the thread variables (null when unset)."""
@@ -129,23 +116,32 @@ def _environment() -> dict:
     }
 
 
-def _write_manifest(outdir: Path, args: argparse.Namespace, t0: float, files: list[Path]) -> None:
-    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+def _write_result(args: argparse.Namespace, t0: float, name: str, result, columns=None) -> Path:
+    """Write result to --output-dir/name, then the manifest that hashes it.
+
+    With columns, result is a list of rows written as CSV under that header;
+    otherwise it is written as strict JSON.
+    """
+    outdir = Path(args.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    path = outdir / name
+    if columns is None:
+        _write_json(path, result)
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row[c]) for c in columns] for row in result)
     manifest = {
         "command": args.command,
-        "config": config,
-        "seed": getattr(args, "seed", None),
+        "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
+        "seed": args.seed,
         "version": __version__,
         "environment": _environment(),
         "wall_clock_s": time.monotonic() - t0,
-        "outputs": {f.name: _sha256(f) for f in files},
+        "outputs": {name: hashlib.sha256(path.read_bytes()).hexdigest()},
     }
     _write_json(outdir / "manifest.json", manifest)
-
-
-def _outdir(args: argparse.Namespace) -> Path:
-    path = Path(args.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -223,6 +219,17 @@ def _load_observable(text: str) -> np.ndarray:
         raise ConfigError(f"bad observable matrix: {exc}") from exc
 
 
+def _channel_inputs(args: argparse.Namespace, n_rows: int, **extra: int):
+    """The channel and, if the command takes them, observables A and B:
+    loaded (config), priced with n_rows sampled rows plus the extra arrays
+    (budget), then validated, in that order."""
+    ch = _load_channel(args.channel)
+    observables = [_load_observable(getattr(args, k)) for k in ("observable_a", "observable_b") if k in args]
+    _check_budget(args.force, **_channel_elements(ch, n_rows), **extra)
+    _require_valid(validate_channel(ch))
+    return ch, *observables
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -233,11 +240,16 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+def _at_least(minimum: int):
+    """argparse type for an integer count flag of at least minimum."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _finite_float(text: str) -> float:
@@ -245,11 +257,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _require_at_least(value: int, minimum: int, flag: str) -> None:
-    if value < minimum:
-        raise ConfigError(f"{flag} must be at least {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -262,81 +269,44 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     ch = _load_channel(args.channel)
     _check_budget(args.force, **_channel_elements(ch))
     diag = validate_channel(ch)
-    report = {
-        "kind": diag.kind,
-        "d_a": diag.d_a,
-        "d_b": diag.d_b,
-        "tp_residual": diag.tp_residual,
-        "choi_min_eigenvalue": diag.choi_min_eigenvalue,
-        "choi_trace": diag.choi_trace,
-        "unitarity_residual": diag.unitarity_residual,
-        "kraus_rank": diag.kraus_rank,
-        "choi_spectrum": [float(x) for x in diag.choi_spectrum],
-        "is_valid": diag.is_valid,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    report = {**asdict(diag), "choi_spectrum": [float(x) for x in diag.choi_spectrum], "is_valid": diag.is_valid}
+    print(json.dumps(_finite_or_null(report), indent=2, sort_keys=True, allow_nan=False))
     if args.output_dir is not None:
-        outdir = _outdir(args)
-        path = outdir / "report.json"
-        _write_json(path, report)
-        _write_manifest(outdir, args, t0, [path])
+        _write_result(args, t0, "report.json", report)
     _require_valid(diag)
     return EXIT_OK
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _require_at_least(args.n_samples, 1, "--n-samples")
-    ch = _load_channel(args.channel)
-    a = _load_observable(args.observable_a)
-    b = _load_observable(args.observable_b)
-    _check_budget(args.force, **_channel_elements(ch, args.n_samples))
-    _require_valid(validate_channel(ch))
+    ch, a, b = _channel_inputs(args, args.n_samples)
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
-    out = {
-        "estimate": rep.estimate,
-        "empirical_sigma": rep.empirical_sigma,
-        "analytic_sigma_bound": rep.analytic_sigma_bound,
-        "sigma_n": rep.sigma_n,
-        "n_samples": rep.n_samples,
-    }
-    outdir = _outdir(args)
-    path = outdir / "estimate.json"
-    _write_json(path, out)
-    _write_manifest(outdir, args, t0, [path])
+    path = _write_result(args, t0, "estimate.json", asdict(rep))
     print(f"estimate {_fmt(rep.estimate)} +- {_fmt(rep.sigma_n)} -> {path}")
     return EXIT_OK
 
 
 def cmd_dual_distance(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _require_at_least(args.trials, 1, "--trials")
-    ch = _load_channel(args.channel)
-    _check_budget(args.force, **_channel_elements(ch, max(args.n_values)))
-    _require_valid(validate_channel(ch))
+    (ch,) = _channel_inputs(args, max(args.n_values))
     rows = distance_table(ch, args.n_values, args.trials, args.seed)
-    outdir = _outdir(args)
-    path = outdir / "distances.csv"
-    _write_csv(path, DISTANCE_COLUMNS, rows)
-    _write_manifest(outdir, args, t0, [path])
+    path = _write_result(args, t0, "distances.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
 
 def cmd_otoc(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _require_at_least(args.pairs, 1, "--pairs")
-    ch = _load_channel(args.channel)
-    a = _load_observable(args.observable_a)
-    b = _load_observable(args.observable_b)
-    _check_budget(args.force, **_channel_elements(ch, 2 * args.pairs))
-    _require_valid(validate_channel(ch))
+    n = 2 * args.pairs
+    # the all-pairs sum builds a block of overlaps, _ALL_PAIRS_CHUNK rows at a time
+    extra = {"pair_overlaps": min(n, _ALL_PAIRS_CHUNK) * n} if args.pairing == "all" else {}
+    ch, a, b = _channel_inputs(args, n, **extra)
     try:
         spec = OtocSpec(ch, a, b)
     except TypeError as exc:
         raise ValidationFailure(str(exc)) from exc
-    ens = dual_ensemble(spec.channel, 2 * args.pairs, args.seed)
+    ens = dual_ensemble(spec.channel, n, args.seed)
     rep = otoc_estimate(spec, ens, pairing=args.pairing)
     out = {
         "estimate": rep.estimate,
@@ -344,18 +314,13 @@ def cmd_otoc(args: argparse.Namespace) -> int:
         "sigma": rep.sigma_n,
         "pairs": rep.n_samples,
     }
-    outdir = _outdir(args)
-    path = outdir / "otoc.json"
-    _write_json(path, out)
-    _write_manifest(outdir, args, t0, [path])
+    path = _write_result(args, t0, "otoc.json", out)
     print(f"otoc estimate {_fmt(out['estimate'])} (exact {_fmt(out['exact'])}) -> {path}")
     return EXIT_OK
 
 
 def cmd_thermalize(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _require_at_least(args.n, 2, "--n")
-    _require_at_least(args.n_samples, 1, "--n-samples")
     if args.t_step <= 0 or args.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
     # exact in rationals: t_max / t_step can overflow a float
@@ -366,28 +331,23 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
         state_rows=(args.n_samples, args.n + 1),
         time_grid=n_times,
     )
-    times = np.arange(0.0, args.t_max + 1e-9, args.t_step)
-    run = ThermalizationRun(
-        config=IsingConfig(args.n, args.g, args.h),
+    rows = thermalization_experiment(
+        n=args.n,
         polarization=args.pol,
-        observable=args.obs,
-        times=times,
+        times=np.arange(0.0, args.t_max + 1e-9, args.t_step),
         n_samples=args.n_samples,
         seed=args.seed,
+        observable=args.obs,
+        g=args.g,
+        h=args.h,
     )
-    rows = thermalization_experiment(run)
-    outdir = _outdir(args)
-    path = outdir / "thermalize.csv"
-    _write_csv(path, THERMALIZE_COLUMNS, rows)
-    _write_manifest(outdir, args, t0, [path])
+    path = _write_result(args, t0, "thermalize.csv", rows, THERMALIZE_COLUMNS)
     print(f"{len(rows)} time points -> {path}")
     return EXIT_OK
 
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    _require_at_least(args.n, 2, "--n")
-    _require_at_least(args.trials, 1, "--trials")
     n_a = args.n if args.na is None else args.na
     # the split sets the sizes, so it is checked before they are priced
     if not (1 <= n_a <= args.n and 1 <= args.nb <= args.n):
@@ -408,10 +368,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
         g=args.g,
         h=args.h,
     )
-    outdir = _outdir(args)
-    path = outdir / "scaling.csv"
-    _write_csv(path, DISTANCE_COLUMNS, rows)
-    _write_manifest(outdir, args, t0, [path])
+    path = _write_result(args, t0, "scaling.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")
     return EXIT_OK
 
@@ -425,60 +382,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="randual", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, output_dir: str | None = ".") -> None:
-        p.add_argument("--seed", type=_non_negative_int, default=0, help="master seed (default 0)")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def channel(p, help: str = "channel spec JSON file", b_help: str | None = None) -> None:
+        p.add_argument("channel", help=help)
+        if b_help is not None:
+            p.add_argument("--observable-a", required=True, help="input observable (JSON or path)")
+            p.add_argument("--observable-b", required=True, help=b_help)
+
+    def sizes(p) -> None:
         p.add_argument(
-            "--output-dir",
-            default=output_dir,
-            help="directory for output files" + ("" if output_dir else " (default: none)"),
+            "--n-values",
+            type=_parse_int_list,
+            default=[10, 50, 100, 500],
+            help="comma-separated ensemble sizes (default 10,50,100,500)",
         )
-        p.add_argument("--force", action="store_true", help="run past the memory budget")
+        p.add_argument("--trials", type=_at_least(1), default=20, help="trials per size (default 20)")
 
-    p = sub.add_parser("inspect", help="validate a channel spec and print diagnostics")
-    p.add_argument("channel", help="channel spec JSON file")
-    common(p, output_dir=None)
-    p.set_defaults(func=cmd_inspect)
+    def chain(p) -> None:
+        p.add_argument("--n", type=_at_least(2), required=True, help="spins in the chain")
+        p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
+        p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
 
-    p = sub.add_parser("estimate", help="estimate tr[X(A)B] from random dual states")
-    p.add_argument("channel", help="channel spec JSON file")
-    p.add_argument("--observable-a", required=True, help="input observable (JSON or path)")
-    p.add_argument("--observable-b", required=True, help="output observable (JSON or path)")
-    p.add_argument("--n-samples", type=int, default=1000, help="ensemble size (default 1000)")
-    common(p)
-    p.set_defaults(func=cmd_estimate)
+    p = command("inspect", cmd_inspect, "validate a channel spec and print diagnostics")
+    channel(p)
 
-    p = sub.add_parser("dual-distance", help="estimator-to-exact-dual distance table")
-    p.add_argument("channel", help="channel spec JSON file")
-    p.add_argument(
-        "--n-values",
-        type=_parse_int_list,
-        default=[10, 50, 100, 500],
-        help="comma-separated ensemble sizes (default 10,50,100,500)",
-    )
-    p.add_argument("--trials", type=int, default=20, help="trials per size (default 20)")
-    common(p)
-    p.set_defaults(func=cmd_dual_distance)
+    p = command("estimate", cmd_estimate, "estimate tr[X(A)B] from random dual states")
+    channel(p, b_help="output observable (JSON or path)")
+    p.add_argument("--n-samples", type=_at_least(1), default=1000, help="ensemble size (default 1000)")
 
-    p = sub.add_parser("otoc", help="pair-sampled out-of-time-order correlator")
-    p.add_argument("channel", help="channel spec JSON file (unitary_induced)")
-    p.add_argument("--observable-a", required=True, help="input observable (JSON or path)")
-    p.add_argument(
-        "--observable-b", required=True, help="rank-1 computational projector (JSON or path)"
-    )
-    p.add_argument("--pairs", type=int, default=1000, help="sample pairs (default 1000)")
+    p = command("dual-distance", cmd_dual_distance, "estimator-to-exact-dual distance table")
+    channel(p)
+    sizes(p)
+
+    p = command("otoc", cmd_otoc, "pair-sampled out-of-time-order correlator")
+    channel(p, "channel spec JSON file (unitary_induced)", "rank-1 computational projector (JSON or path)")
+    p.add_argument("--pairs", type=_at_least(1), default=1000, help="sample pairs (default 1000)")
     p.add_argument(
         "--pairing",
         choices=["disjoint", "all"],
         default="disjoint",
         help="disjoint pairs carry a valid sigma; all-pairs is lower variance, no sigma",
     )
-    common(p)
-    p.set_defaults(func=cmd_otoc)
 
-    p = sub.add_parser("thermalize", help="Ising quench, exact vs randomized estimate")
-    p.add_argument("--n", type=int, required=True, help="spins in the chain")
-    p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
-    p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
+    p = command("thermalize", cmd_thermalize, "Ising quench, exact vs randomized estimate")
+    chain(p)
     p.add_argument("--pol", choices=["z", "y"], required=True, help="initial polarization axis")
     p.add_argument(
         "--obs",
@@ -486,28 +437,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="first-spin observable (default: same as --pol)",
     )
-    p.add_argument("--n-samples", type=int, default=200, help="samples per time point (default 200)")
+    p.add_argument("--n-samples", type=_at_least(1), default=200, help="samples per time point (default 200)")
     p.add_argument("--t-max", type=_finite_float, default=10.0, help="end of the time grid (default 10)")
     p.add_argument("--t-step", type=_finite_float, default=0.25, help="time step (default 0.25)")
-    common(p)
-    p.set_defaults(func=cmd_thermalize)
 
-    p = sub.add_parser("scaling", help="estimator distance scaling in ensemble size")
-    p.add_argument("--n", type=int, required=True, help="spins in the chain")
+    p = command("scaling", cmd_scaling, "estimator distance scaling in ensemble size")
+    chain(p)
     p.add_argument("--na", type=int, default=None, help="input spins (default: n)")
     p.add_argument("--nb", type=int, default=1, help="output spins (default 1)")
     p.add_argument("--t", type=_finite_float, default=1.0, help="evolution time (default 1)")
-    p.add_argument(
-        "--n-values",
-        type=_parse_int_list,
-        default=[10, 50, 100, 500],
-        help="comma-separated ensemble sizes (default 10,50,100,500)",
-    )
-    p.add_argument("--trials", type=int, default=20, help="trials per size (default 20)")
-    p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
-    p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
-    common(p)
-    p.set_defaults(func=cmd_scaling)
+    sizes(p)
+
+    # flags every subcommand shares, after its own; only inspect writes no files by default
+    for name, p in sub.choices.items():
+        output_dir = None if name == "inspect" else "."
+        p.add_argument("--seed", type=_at_least(0), default=0, help="master seed (default 0)")
+        p.add_argument(
+            "--output-dir",
+            default=output_dir,
+            help="directory for output files" + ("" if output_dir else " (default: none)"),
+        )
+        p.add_argument("--force", action="store_true", help="run past the memory budget")
 
     return parser
 

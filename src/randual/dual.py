@@ -377,18 +377,18 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
     return float(mu1.real) ** 2
 
 
-def distance_report(ens: DualStateEnsemble, *, factor: np.ndarray | None = None) -> DistanceReport:
+def distance_report(ens: DualStateEnsemble) -> DistanceReport:
     """Distances from the rank-N estimator to the exact dual W W^dag, with
     the 1/sqrt(N) expected Hilbert-Schmidt bound for context.
 
-    factor is W (default exact_dual_factor(ens.channel)). The difference is
+    W = exact_dual_factor(ens.channel). The difference is
     A D A^dag with A = [S^T/sqrt(N) | W] and D = diag(+1 per sample, -1 per
     column of W); both distances are norms of its eigenvalues. When A has
     fewer columns than rows, A = QR and the nonzero eigenvalues are those of
     R D R^dag, an (N + r)-square matrix; otherwise the d x d difference is
     formed directly.
     """
-    w = exact_dual_factor(ens.channel) if factor is None else np.asarray(factor, dtype=complex)
+    w = exact_dual_factor(ens.channel)
     return _distance_report(ens, w, lambda: w @ w.conj().T)
 
 
@@ -397,8 +397,6 @@ def _distance_report(ens: DualStateEnsemble, w: np.ndarray, exact) -> DistanceRe
     called only when the d x d difference is formed. Its result is only
     read, so one cached matrix can serve every cell of a table."""
     n, d = ens.states.shape
-    if w.ndim != 2 or w.shape[0] != d:
-        raise ValueError(f"factor shape {w.shape} does not have {d} rows")
     if n + w.shape[1] < d:
         a = np.empty((d, n + w.shape[1]), dtype=complex)
         np.divide(ens.states.T, np.sqrt(n), out=a[:, :n])

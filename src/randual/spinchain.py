@@ -25,8 +25,6 @@ takes about 8 s; each added spin multiplies the dense work by about 8.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channels import DilatedChannel, UnitaryChannel
@@ -38,62 +36,6 @@ DEFAULT_G = 1.05
 DEFAULT_H = 0.5
 
 _PAULI_1 = {"z": sigma_z, "y": sigma_y}
-
-
-@dataclass(frozen=True)
-class IsingConfig:
-    """Chain parameters; fields must not both vanish (the g = h = 0 chain is
-    classical and never relaxes, which defeats the experiments here)."""
-
-    n: int
-    g: float = DEFAULT_G
-    h: float = DEFAULT_H
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least 2 spins")
-        if self.g == 0.0 and self.h == 0.0:
-            raise ValueError("g and h must not vanish simultaneously")
-
-
-@dataclass(frozen=True)
-class ThermalizationRun:
-    """One quench: initial polarization axis, tracked first-spin observable,
-    time grid, samples per time point.
-
-    observable defaults to the polarization axis, matching the quench
-    protocol. times must be strictly increasing and nonnegative.
-    """
-
-    config: IsingConfig
-    polarization: str
-    observable: str | None = None
-    times: np.ndarray | None = None
-    n_samples: int = 200
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.polarization not in _PAULI_1:
-            raise ValueError(f"polarization must be one of {sorted(_PAULI_1)}")
-        if self.observable is not None and self.observable not in _PAULI_1:
-            raise ValueError(f"observable must be one of {sorted(_PAULI_1)}")
-        t = default_time_grid() if self.times is None else np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 1:
-            raise ValueError("times must be a nonempty 1-d grid")
-        if t[0] < 0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be nonnegative and strictly increasing")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        object.__setattr__(self, "times", t)
-
-    @property
-    def resolved_observable(self) -> str:
-        return self.observable if self.observable is not None else self.polarization
-
-
-def default_time_grid() -> np.ndarray:
-    """t in [0, 10] in steps of 0.25."""
-    return np.arange(0.0, 10.0 + 1e-9, 0.25)
 
 
 def ising_hamiltonian(n: int, g: float, h: float) -> np.ndarray:
@@ -128,28 +70,55 @@ def polarized_state(n: int, axis: str) -> np.ndarray:
     return kron(*[site] * n)
 
 
-def thermalization_experiment(run: ThermalizationRun) -> list[dict]:
+def thermalization_experiment(
+    n: int,
+    polarization: str,
+    times,
+    n_samples: int,
+    seed: int,
+    observable: str | None = None,
+    g: float = DEFAULT_G,
+    h: float = DEFAULT_H,
+) -> list[dict]:
     """Exact and randomized first-spin expectation through the quench.
+
+    The n-spin chain with fields g, h (not both zero: that chain is
+    classical and never relaxes) starts polarized along polarization and
+    tracks observable on the first spin, by default the polarization axis.
+    times must be a nonempty, nonnegative, strictly increasing 1-d grid.
+    Every argument is checked before the eigensolve.
 
     Per time point: diagonal evolution gives U(t) and the exact value
     <psi_t| B (x) I |psi_t>; the randomized value pairs A = |psi_0><psi_0|,
     passed as the vector psi_0 so no d x d A is formed, with B through a
-    fresh dual ensemble of the U(t) channel, seeded by (run.seed, time
-    index). Rows carry time, exact, estimate, sigma_n and
-    the 3 sigma_n half-width under the key "bound".
+    fresh dual ensemble of n_samples states of the U(t) channel, seeded by
+    (seed, time index). Rows carry time, exact, estimate, sigma_n and the
+    3 sigma_n half-width under the key "bound".
     """
-    cfg = run.config
-    ham = ising_hamiltonian(cfg.n, cfg.g, cfg.h)
-    w, v = hermitian_eig(ham)
-    psi0 = polarized_state(cfg.n, run.polarization)
-    b = _PAULI_1[run.resolved_observable]
+    if polarization not in _PAULI_1:
+        raise ValueError(f"polarization must be one of {sorted(_PAULI_1)}")
+    observable = polarization if observable is None else observable
+    if observable not in _PAULI_1:
+        raise ValueError(f"observable must be one of {sorted(_PAULI_1)}")
+    if g == 0.0 and h == 0.0:
+        raise ValueError("g and h must not vanish simultaneously")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1:
+        raise ValueError("times must be a nonempty 1-d grid")
+    if times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be nonnegative and strictly increasing")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    w, v = hermitian_eig(ising_hamiltonian(n, g, h))
+    psi0 = polarized_state(n, polarization)
+    b = _PAULI_1[observable]
     rows = []
-    for i, t in enumerate(run.times):
+    for i, t in enumerate(times):
         u = evolution_from_eig(w, v, float(t))
         psi_t = u @ psi0
         pt = psi_t.reshape(2, -1)
         exact = float(np.einsum("bi,bc,ci->", pt.conj(), b, pt).real)
-        ens = dual_ensemble(UnitaryChannel(u, d_b=2), run.n_samples, child_seed(run.seed, i))
+        ens = dual_ensemble(UnitaryChannel(u, d_b=2), n_samples, child_seed(seed, i))
         rep = estimate_observable(ens, psi0, b)
         rows.append(
             {

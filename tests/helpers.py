@@ -241,20 +241,19 @@ def apply_channel_oracle(ch, rho):
     return partial_trace(u @ rho @ u.conj().T, (ch.d_b, u.shape[0] // ch.d_b), [0])
 
 
-def thermalization_dense_oracle(run):
+def thermalization_dense_oracle(n, polarization, times, n_samples, seed, observable=None, g=1.05, h=0.5):
     """thermalization_experiment's rows with A = |psi_0><psi_0| formed as a
     dense d x d matrix: the reference for the vector form of A."""
-    cfg = run.config
-    w, v = hermitian_eig(ising_hamiltonian(cfg.n, cfg.g, cfg.h))
-    psi0 = polarized_state(cfg.n, run.polarization)
+    w, v = hermitian_eig(ising_hamiltonian(n, g, h))
+    psi0 = polarized_state(n, polarization)
     a = np.outer(psi0, psi0.conj())
-    b = {"z": sigma_z, "y": sigma_y}[run.resolved_observable]
+    b = {"z": sigma_z, "y": sigma_y}[polarization if observable is None else observable]
     rows = []
-    for i, t in enumerate(run.times):
+    for i, t in enumerate(times):
         u = evolution_from_eig(w, v, float(t))
         pt = (u @ psi0).reshape(2, -1)
         exact = float(np.einsum("bi,bc,ci->", pt.conj(), b, pt).real)
-        ens = dual_ensemble(UnitaryChannel(u, d_b=2), run.n_samples, child_seed(run.seed, i))
+        ens = dual_ensemble(UnitaryChannel(u, d_b=2), n_samples, child_seed(seed, i))
         rep = estimate_observable(ens, a, b)
         rows.append({"time": float(t), "exact": exact, "estimate": rep.estimate, "sigma_n": rep.sigma_n})
     return rows

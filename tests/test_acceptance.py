@@ -33,8 +33,6 @@ from randual.linalg import hs_distance, hs_norm, kron, sigma_y, sigma_z
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 from randual.rng import haar_unitary
 from randual.spinchain import (
-    IsingConfig,
-    ThermalizationRun,
     polarized_state,
     thermalization_experiment,
 )
@@ -221,10 +219,9 @@ def test_criterion_6_thermalization():
     points = 0
     times = np.arange(0.0, 10.0 + 1e-9, 0.1)
     for axis, seed in (("z", 901), ("y", 902)):
-        run = ThermalizationRun(
-            IsingConfig(8, 1.05, 0.5), axis, times=times, n_samples=200, seed=seed
+        rows = thermalization_experiment(
+            n=8, polarization=axis, times=times, n_samples=200, seed=seed, g=1.05, h=0.5
         )
-        rows = thermalization_experiment(run)
         for row in rows:
             points += 1
             if abs(row["estimate"] - row["exact"]) > row["bound"]:

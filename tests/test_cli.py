@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from randual import cli
-from randual.channels import KrausChannel, UnitaryChannel, save_channel
+from randual.channels import DilatedChannel, KrausChannel, UnitaryChannel, save_channel, stinespring_dilate
 from randual.dual import EstimatorReport
 from randual.rng import haar_unitary
 
@@ -164,6 +164,26 @@ def test_estimate_config_errors(identity_qubit, tmp_path):
     )
     assert zero.returncode == 1
     assert "config error" in zero.stderr
+
+
+@pytest.mark.parametrize("kind", ["kraus", "dilated"])
+def test_overflowing_channel_is_invalid_not_a_lapack_error(kind, tmp_path, capsys):
+    # entries of 1e200 overflow the Choi matrix; validation must still report
+    if kind == "kraus":
+        ch = KrausChannel(depolarizing(0.3).operators * 1e200)
+    else:
+        ch = stinespring_dilate(depolarizing(0.3))
+        ch = DilatedChannel(ch.unitary * 1e200, d_a=ch.d_a, d_b=ch.d_b)
+    path = tmp_path / "overflow.json"
+    save_channel(ch, str(path))
+    assert cli.main(["inspect", str(path)]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-standard JSON constant {token}"))
+    assert report["is_valid"] is False
+    assert "channel fails validation" in err
+    argv = ["estimate", str(path), "--observable-a", SIGMA_Z_JSON, "--observable-b", SIGMA_Z_JSON]
+    assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
+    assert "channel fails validation" in capsys.readouterr().err
 
 
 def test_estimate_dimension_mismatch_is_validation_error(identity_qubit, tmp_path):
@@ -430,15 +450,20 @@ def no_allocation(monkeypatch):
         ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
          SIGMA_Z_JSON, "--n-samples", "100000000"],
         ["dual-distance", "{isometry}"],
+        # 40000 states are 2.4 MiB of rows, but the all-pairs overlap block is 512 x 40000
+        ["otoc", "{unitary}", "--observable-a", mat_json(np.eye(4)), "--observable-b", PROJ0_JSON,
+         "--pairs", "20000", "--pairing", "all"],
     ],
     ids=["13-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
-         "128x64-isometry"],
+         "128x64-isometry", "all-pairs-overlaps"],
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
     isometry = tmp_path / "isometry.json"
     # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 Choi matrix
     save_channel(KrausChannel(np.eye(128, 64)[np.newaxis]), str(isometry))
-    argv = [a.format(depol=depol_file, isometry=isometry) for a in argv]
+    unitary = tmp_path / "unitary.json"
+    save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
+    argv = [a.format(depol=depol_file, isometry=isometry, unitary=unitary) for a in argv]
     assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
     assert "resource cap" in capsys.readouterr().err
 
@@ -458,7 +483,7 @@ def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_p
 )  # fmt: skip
 def test_budget_prices_chain_sizes(argv, code, monkeypatch, tmp_path):
     # the experiments are stubbed, so only the pricing runs at these sizes
-    monkeypatch.setattr(cli, "thermalization_experiment", lambda run: [])
+    monkeypatch.setattr(cli, "thermalization_experiment", lambda **kwargs: [])
     monkeypatch.setattr(cli, "distance_scaling_experiment", lambda **kwargs: [])
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == code
 
@@ -513,6 +538,38 @@ def test_budget_prices_absurd_site_counts_without_big_ints(tmp_path):
         tracemalloc.stop()
     assert code == 3
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["inspect", "CH", "--output-dir", "."], {"channel": "CH", "output_dir": "."}),
+        (["estimate", "CH", "--observable-a", SIGMA_Z_JSON, "--observable-b", SIGMA_Z_JSON],
+         {"channel": "CH", "observable_a": SIGMA_Z_JSON, "observable_b": SIGMA_Z_JSON, "n_samples": 1000}),
+        (["dual-distance", "CH"], {"channel": "CH", "n_values": [10, 50, 100, 500], "trials": 20}),
+        (["otoc", "CH", "--observable-a", SIGMA_Z_JSON, "--observable-b", PROJ0_JSON],
+         {"channel": "CH", "observable_a": SIGMA_Z_JSON, "observable_b": PROJ0_JSON, "pairs": 1000,
+          "pairing": "disjoint"}),
+        (["thermalize", "--n", "2", "--pol", "z"],
+         {"n": 2, "g": 1.05, "h": 0.5, "pol": "z", "obs": None, "n_samples": 200, "t_max": 10.0,
+          "t_step": 0.25}),
+        (["scaling", "--n", "2"],
+         {"n": 2, "na": None, "nb": 1, "t": 1.0, "n_values": [10, 50, 100, 500], "trials": 20, "g": 1.05,
+          "h": 0.5}),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)  # fmt: skip
+def test_manifest_config_keys_and_defaults(argv, config, identity_qubit, tmp_path, monkeypatch):
+    # the manifest records every parsed flag under its dest, defaults included
+    monkeypatch.chdir(tmp_path)
+    argv = [identity_qubit if a == "CH" else a for a in argv]
+    assert cli.main(argv) == 0
+    want = {"seed": 0, "output_dir": ".", "force": False, **config}
+    want = {k: identity_qubit if v == "CH" else v for k, v in want.items()}
+    manifest = _strict_json(tmp_path / "manifest.json")
+    assert manifest["command"] == argv[0]
+    assert manifest["config"] == want
+    assert manifest["seed"] == 0
 
 
 def _strip_clock(path):

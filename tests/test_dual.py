@@ -409,13 +409,8 @@ def test_distance_report_contents():
     rep = distance_report(ens)
     assert rep.n_samples == 100
     assert np.isclose(rep.bound, 0.1, atol=1e-15)
-    explicit = distance_report(ens, factor=exact_dual_factor(ch))
-    assert rep.hs_distance == explicit.hs_distance
-    assert rep.trace_distance == explicit.trace_distance
     # trace distance carries the conventional 1/2: hs <= |..|_1 = 2 T
     assert rep.hs_distance <= 2 * rep.trace_distance + 1e-12
-    with pytest.raises(ValueError):
-        distance_report(ens, factor=np.eye(3))
 
 
 def test_estimator_rank_is_at_most_n():
@@ -513,10 +508,9 @@ def test_distance_table_cells_and_checks():
     ch = amplitude_damping(0.3)
     rows = distance_table(ch, [4, 9], trials=2, seed=24)
     assert [(r["N"], r["trial"]) for r in rows] == [(4, 0), (4, 1), (9, 0), (9, 1)]
-    factor = exact_dual_factor(ch)
     for i, n in enumerate([4, 9]):
         for trial in range(2):
-            rep = distance_report(dual_ensemble(ch, n, child_seed(24, i, trial)), factor=factor)
+            rep = distance_report(dual_ensemble(ch, n, child_seed(24, i, trial)))
             row = rows[2 * i + trial]
             assert row["hs_distance"] == rep.hs_distance
             assert row["trace_distance"] == rep.trace_distance

@@ -2,13 +2,11 @@
 import numpy as np
 import pytest
 
+from randual import spinchain
 from randual.channels import UnitaryChannel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual
 from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
-    IsingConfig,
-    ThermalizationRun,
-    default_time_grid,
     distance_scaling_experiment,
     ising_hamiltonian,
     polarized_state,
@@ -90,40 +88,48 @@ def test_polarized_states():
         polarized_state(2, "x")
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        IsingConfig(1)
-    with pytest.raises(ValueError):
-        IsingConfig(4, g=0.0, h=0.0)
-    cfg = IsingConfig(4)
-    assert cfg.g == 1.05 and cfg.h == 0.5
+def quench(**kwargs):
+    """thermalization_experiment at a small default size, overridden by kwargs."""
+    run = {"n": 3, "polarization": "z", "times": [0.0], "n_samples": 10, "seed": 0}
+    return thermalization_experiment(**{**run, **kwargs})
 
 
-def test_run_validation():
-    cfg = IsingConfig(3)
-    with pytest.raises(ValueError):
-        ThermalizationRun(cfg, "x")
-    with pytest.raises(ValueError):
-        ThermalizationRun(cfg, "z", observable="q")
-    with pytest.raises(ValueError):
-        ThermalizationRun(cfg, "z", times=np.array([0.0, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        ThermalizationRun(cfg, "z", times=np.array([-1.0, 0.5]))
-    with pytest.raises(ValueError):
-        ThermalizationRun(cfg, "z", n_samples=0)
-    run = ThermalizationRun(cfg, "y")
-    assert run.resolved_observable == "y"
-    assert np.array_equal(run.times, default_time_grid())
-    assert len(default_time_grid()) == 41
-    named = ThermalizationRun(cfg, "y", observable="z")
-    assert named.resolved_observable == "z"
+def refuse_eigensolve(*args, **kwargs):
+    raise AssertionError("eigensolve ran before the argument checks")
+
+
+def test_config_validation(monkeypatch):
+    monkeypatch.setattr(spinchain, "hermitian_eig", refuse_eigensolve)
+    with pytest.raises(ValueError, match="at least 2 spins"):
+        quench(n=1)
+    with pytest.raises(ValueError, match="must not vanish"):
+        quench(n=4, g=0.0, h=0.0)
+    monkeypatch.undo()
+    assert quench(n=4) == quench(n=4, g=1.05, h=0.5)
+
+
+def test_run_validation(monkeypatch):
+    monkeypatch.setattr(spinchain, "hermitian_eig", refuse_eigensolve)
+    for kwargs, message in [
+        ({"polarization": "x"}, "polarization must be"),
+        ({"observable": "q"}, "observable must be"),
+        ({"times": [0.0, 0.5, 0.5]}, "strictly increasing"),
+        ({"times": [-1.0, 0.5]}, "nonnegative"),
+        ({"times": []}, "nonempty"),
+        ({"n_samples": 0}, "n_samples must be at least 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            quench(**kwargs)
+    monkeypatch.undo()
+    # the observable defaults to the polarization axis: <y+|sigma_y|y+> = 1, <y+|sigma_z|y+> = 0
+    assert np.isclose(quench(polarization="y")[0]["exact"], 1.0, atol=1e-12)
+    assert np.isclose(quench(polarization="y", observable="z")[0]["exact"], 0.0, atol=1e-12)
 
 
 def test_thermalization_rows():
-    run = ThermalizationRun(
-        IsingConfig(4), "z", times=np.array([0.0, 0.5, 1.0]), n_samples=80, seed=3
+    rows = thermalization_experiment(
+        n=4, polarization="z", times=np.array([0.0, 0.5, 1.0]), n_samples=80, seed=3
     )
-    rows = thermalization_experiment(run)
     assert len(rows) == 3
     assert set(rows[0]) == THERMALIZE_KEYS
     # the z-polarized chain starts at <sigma_z> = 1 exactly
@@ -137,10 +143,9 @@ def test_thermalization_rows():
 
 
 def test_thermalization_y_polarization_tracks_y_observable():
-    run = ThermalizationRun(
-        IsingConfig(3), "y", times=np.array([0.0, 0.4]), n_samples=60, seed=4
+    rows = thermalization_experiment(
+        n=3, polarization="y", times=np.array([0.0, 0.4]), n_samples=60, seed=4
     )
-    rows = thermalization_experiment(run)
     assert np.isclose(rows[0]["exact"], 1.0, atol=1e-12)
     assert abs(rows[0]["estimate"] - 1.0) <= rows[0]["bound"] + 1e-12
 
@@ -148,9 +153,9 @@ def test_thermalization_y_polarization_tracks_y_observable():
 @pytest.mark.parametrize("n, pol", [(4, "z"), (6, "y"), (8, "z"), (8, "y")])
 def test_thermalization_vector_observable_matches_dense_reference(n, pol):
     # the experiment passes psi_0 as a vector; the reference forms |psi_0><psi_0|
-    run = ThermalizationRun(IsingConfig(n), pol, times=np.array([0.0, 0.75, 2.5]), n_samples=50, seed=21)
-    rows = thermalization_experiment(run)
-    want = thermalization_dense_oracle(run)
+    run = {"n": n, "polarization": pol, "times": np.array([0.0, 0.75, 2.5]), "n_samples": 50, "seed": 21}
+    rows = thermalization_experiment(**run)
+    want = thermalization_dense_oracle(**run)
     assert len(rows) == len(want)
     for row, ref in zip(rows, want):
         assert row["time"] == ref["time"]
@@ -160,10 +165,8 @@ def test_thermalization_vector_observable_matches_dense_reference(n, pol):
 
 
 def test_thermalization_determinism():
-    run = ThermalizationRun(
-        IsingConfig(3), "z", times=np.array([0.3, 0.9]), n_samples=40, seed=5
-    )
-    assert thermalization_experiment(run) == thermalization_experiment(run)
+    run = {"n": 3, "polarization": "z", "times": np.array([0.3, 0.9]), "n_samples": 40, "seed": 5}
+    assert thermalization_experiment(**run) == thermalization_experiment(**run)
 
 
 def test_distance_scaling_unitary_path():

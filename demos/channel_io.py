@@ -40,5 +40,6 @@ with tempfile.TemporaryDirectory() as tmp:
 diag = validate_channel(ch)
 print(f"\nvalidation: kind {diag.kind}, tp residual {diag.tp_residual:.2e}, "
       f"min choi eigenvalue {diag.choi_min_eigenvalue:+.2e}")
-print(f"choi spectrum: {np.round(diag.choi_spectrum, 6)}")
+# r = 2 operators give the 4 x 4 Choi matrix rank 2: two exact zeros lead
+print(f"choi spectrum: {np.round(diag.choi_spectrum, 6)}, kraus rank {diag.kraus_rank}")
 print(f"valid: {diag.is_valid}")

@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from randual.channels import UnitaryChannel, apply_channel, choi_matrix, choi_pairing
+from randual.channels import UnitaryChannel, apply_channel
 from randual.dual import duality_pairing, exact_dual
 from randual.rng import haar_unitary
 
@@ -13,11 +13,10 @@ ch = UnitaryChannel(haar_unitary(d_a, seed=1), d_b=d_b)
 print(f"unitary-induced channel: {d_a} -> {d_b} (traced factor {ch.d_c})")
 
 rho = exact_dual(ch)
-sig = choi_matrix(ch)
 print(f"dual state: {rho.shape[0]} x {rho.shape[0]}, trace {np.trace(rho).real:.6f}")
 
 rng = np.random.default_rng(2)
-print(f"{'tr[X(A)B]':>12} {'dual state':>12} {'choi':>12}")
+print(f"{'tr[X(A)B]':>12} {'dual state':>12}")
 for _ in range(5):
     a = rng.normal(size=(d_a, d_a))
     a = a + a.T
@@ -25,8 +24,7 @@ for _ in range(5):
     b = b + b.T
     direct = np.trace(apply_channel(ch, a) @ b).real
     via_dual = duality_pairing(rho, a, b)
-    via_choi = choi_pairing(sig, a, b)
-    print(f"{direct:12.6f} {via_dual:12.6f} {via_choi:12.6f}")
+    print(f"{direct:12.6f} {via_dual:12.6f}")
 
 # structure of the dual: flat spectrum 1/d_c on a d_c-dimensional support
 w = np.linalg.eigvalsh(rho)

@@ -11,7 +11,6 @@ import numpy as np
 
 from randual.channels import (
     KrausChannel,
-    kraus_rank,
     stinespring_dilate,
     validate_channel,
 )
@@ -28,7 +27,7 @@ def depolarizing(p):
 def main():
     ch = depolarizing(0.6)
     diag = validate_channel(ch)
-    print(f"depolarizing channel: kind {diag.kind}, kraus rank {kraus_rank(ch)}, "
+    print(f"depolarizing channel: kind {diag.kind}, kraus rank {diag.kraus_rank}, "
           f"tp residual {diag.tp_residual:.1e}")
 
     dil = stinespring_dilate(ch)

@@ -25,17 +25,13 @@ __version__ = "0.1.0"
 from . import channels, dual, linalg, otoc, rng, spinchain
 from .channels import (
     ChannelDiagnostics,
-    ChoiMatrix,
     DilatedChannel,
     KrausChannel,
     UnitaryChannel,
     apply_channel,
     channel_from_dict,
     channel_to_dict,
-    choi_matrix,
-    choi_pairing,
     kraus_operators,
-    kraus_rank,
     load_channel,
     save_channel,
     stinespring_dilate,

@@ -1,4 +1,4 @@
-"""Quantum channel representations and the Choi calculus.
+"""Quantum channel representations, dilation, validation and JSON specs.
 
 A channel X maps density matrices on a d_a-dimensional input space to
 density matrices on a d_b-dimensional output space. Three presentations are
@@ -11,25 +11,19 @@ supported:
   on input (x) ancilla, the ancilla prepared in the first basis vector. The
   same space is read as (d_b, d_env) with the output factor slowest when the
   environment is traced out.
-
-The Choi matrix lives on (input copy, output), input copy slowest:
-
-    sigma = (1/d_a) sum_ij |i><j| (x) X(|i><j|),
-
-and pairs with observables as tr[X(A) B] = d_a tr[sigma (A^t (x) B)].
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import assert_hermitian, hs_norm
+from .linalg import hs_norm
 
 # Construction-time tolerance on U^dag U = I and sum M^dag M = I.
 UNITARY_ATOL = 1e-9
-# Default eigenvalue cutoff for the Kraus rank is KRAUS_TOL_SCALE * d_a.
+# Choi eigenvalues above KRAUS_TOL_SCALE * d_a count towards the Kraus rank.
 KRAUS_TOL_SCALE = 1e-10
 
 
@@ -119,22 +113,6 @@ Channel = KrausChannel | UnitaryChannel | DilatedChannel
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    """Choi matrix on (input copy, output), input copy slowest."""
-
-    matrix: np.ndarray
-    d_a: int
-    d_b: int
-
-    def __post_init__(self) -> None:
-        m = _as_complex(self.matrix)
-        d = self.d_a * self.d_b
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match d_a*d_b={d}")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class ChannelDiagnostics:
     """Validation report; residuals are Hilbert-Schmidt norms."""
 
@@ -144,9 +122,9 @@ class ChannelDiagnostics:
     tp_residual: float
     choi_min_eigenvalue: float
     choi_trace: float
-    unitarity_residual: float | None = None
-    kraus_rank: int = 0
-    choi_spectrum: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    unitarity_residual: float | None
+    kraus_rank: int
+    choi_spectrum: np.ndarray
 
     @property
     def is_valid(self) -> bool:
@@ -190,36 +168,6 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"input shape {rho.shape} does not match d_a={ch.d_a}")
     ops = kraus_operators(ch)
     return np.einsum("kmi,ij,knj->mn", ops, rho, ops.conj())
-
-
-def choi_matrix(ch: Channel) -> ChoiMatrix:
-    """Choi matrix (1/d_a) sum_ij |i><j| (x) X(|i><j|)."""
-    ops = kraus_operators(ch)
-    d_a, d_b = ch.d_a, ch.d_b
-    s = np.einsum("kmi,knj->imjn", ops, ops.conj()) / d_a
-    return ChoiMatrix(s.reshape(d_a * d_b, d_a * d_b), d_a, d_b)
-
-
-def choi_pairing(choi: ChoiMatrix, a: np.ndarray, b: np.ndarray) -> float:
-    """tr[X(A) B] evaluated against the Choi matrix as d_a tr[sigma (A^t (x) B)]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (choi.d_a, choi.d_a) or b.shape != (choi.d_b, choi.d_b):
-        raise ValueError("observable dimensions do not match the Choi layout")
-    assert_hermitian(a, name="A")
-    assert_hermitian(b, name="B")
-    val = choi.d_a * np.einsum("imjn,ij,nm->",
-                               choi.matrix.reshape(choi.d_a, choi.d_b, choi.d_a, choi.d_b),
-                               a, b)
-    return float(val.real)
-
-
-def kraus_rank(ch: Channel, tol: float | None = None) -> int:
-    """Number of Choi eigenvalues above tol (default KRAUS_TOL_SCALE * d_a)."""
-    if tol is None:
-        tol = KRAUS_TOL_SCALE * ch.d_a
-    w = np.linalg.eigvalsh(choi_matrix(ch).matrix)
-    return int(np.sum(w > tol))
 
 
 def _dilation_ancilla(r: int, d_a: int, d_b: int) -> int:
@@ -279,26 +227,40 @@ def stinespring_dilate(ch: Channel) -> DilatedChannel:
 
 
 def validate_channel(ch: Channel) -> ChannelDiagnostics:
-    """Numerical diagnostics: trace preservation, Choi positivity, unitarity."""
+    """Numerical diagnostics: trace preservation, Choi positivity, unitarity.
+
+    All are read off the Kraus stack. Stacked as an (r * d_b) x d_a matrix m,
+    the operators preserve the trace when m^dag m = I. As r rows vec(M_k),
+    scaled by 1/sqrt(d_a), they form an X whose X^dag X is the Choi matrix
+    (1/d_a) sum_ij |i><j| (x) X(|i><j|) up to a permutation of its basis, so
+    the Choi spectrum is the squared singular values of X, padded with exact
+    zeros to d_a * d_b entries.
+    """
     ops = kraus_operators(ch)
-    tp = hs_norm(np.einsum("kmi,kmj->ij", ops.conj(), ops) - np.eye(ch.d_a))
-    choi = choi_matrix(ch)
-    # an overflowing spec is invalid as it stands: skip the eigensolve, which
-    # would only fail to converge, and report a NaN spectrum
-    finite = np.isfinite(choi.matrix).all()
-    w = np.linalg.eigvalsh(choi.matrix) if finite else np.full(choi.matrix.shape[0], np.nan)
-    unit = None
-    if isinstance(ch, (UnitaryChannel, DilatedChannel)):
-        u = ch.unitary
-        unit = hs_norm(u.conj().T @ u - np.eye(u.shape[0]))
-    rank = int(np.sum(w > KRAUS_TOL_SCALE * ch.d_a))
+    r, d_b, d_a = ops.shape
+    # an overflowing spec is invalid as it stands: the overflow is the
+    # result, so it raises no warning, skips the SVD and reports a NaN spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = ops.reshape(r * d_b, d_a)
+        tp = hs_norm(m.conj().T @ m - np.eye(d_a))
+        w = np.zeros(d_a * d_b)
+        if np.isfinite(tp):
+            s = np.linalg.svd(ops.reshape(r, d_b * d_a) / np.sqrt(d_a), compute_uv=False)
+            w[w.size - s.size :] = s[::-1] ** 2
+        else:
+            w[:] = np.nan
+        unit = None
+        if isinstance(ch, (UnitaryChannel, DilatedChannel)):
+            u = ch.unitary
+            unit = hs_norm(u.conj().T @ u - np.eye(u.shape[0]))
+    rank = int(np.sum(w > KRAUS_TOL_SCALE * d_a))
     return ChannelDiagnostics(
         kind=kind_of(ch),
-        d_a=ch.d_a,
-        d_b=ch.d_b,
+        d_a=d_a,
+        d_b=d_b,
         tp_residual=float(tp),
         choi_min_eigenvalue=float(w[0]),
-        choi_trace=float(np.trace(choi.matrix).real),
+        choi_trace=float(w.sum()),
         unitarity_residual=None if unit is None else float(unit),
         kraus_rank=rank,
         choi_spectrum=w,

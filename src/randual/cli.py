@@ -189,7 +189,8 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
 
 
 def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
-    # dense: Choi matrix, dilation, exact dual, estimator, otoc's kron(B^t, A);
+    # dense: dilation, exact dual, estimator, otoc's kron(B^t, A); validation's
+    # min(r, d) * max(r, d) SVD of the r Kraus rows, d = d_a * d_b, fits inside;
     # rows: the sampled dual states, d_b * d_a wide; draws: one Haar vector on
     # the dilation's environment per row, wider than a row when d_b^2 < ancilla
     d_u = dilation_dim(ch)
@@ -299,8 +300,10 @@ def cmd_dual_distance(args: argparse.Namespace) -> int:
 def cmd_otoc(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     n = 2 * args.pairs
-    # the all-pairs sum builds a block of overlaps, _ALL_PAIRS_CHUNK rows at a time
-    extra = {"pair_overlaps": min(n, _ALL_PAIRS_CHUNK) * n} if args.pairing == "all" else {}
+    # the all-pairs sum builds a block of overlaps, _ALL_PAIRS_CHUNK rows at a
+    # time, next to its float squares: 1.5 complex elements per overlap
+    block = min(n, _ALL_PAIRS_CHUNK) * n
+    extra = {"pair_overlaps": (3 * block + 1) // 2} if args.pairing == "all" else {}
     ch, a, b = _channel_inputs(args, n, **extra)
     try:
         spec = OtocSpec(ch, a, b)

@@ -21,7 +21,8 @@ from .channels import UnitaryChannel
 from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport
 from .linalg import assert_hermitian, partial_trace
 
-#: chunk height for the all-pairs overlap matrix, bounds memory at ~chunk*N
+#: chunk height for the all-pairs overlap matrix: memory peaks at one
+#: chunk x N complex block plus its float squares
 _ALL_PAIRS_CHUNK = 512
 
 
@@ -118,6 +119,8 @@ def otoc_estimate(
             block = states[lo : lo + _ALL_PAIRS_CHUNK].conj() @ ot
             sq = np.abs(block) ** 2
             total += sq.sum() - np.trace(sq, offset=lo)
+            # free both before the next block, so one chunk is alive at a time
+            del block, sq
         # symmetric in (k, k') for Hermitian O: ordered sum / 2 per pair
         n_pairs = n * (n - 1) // 2
         estimate = d_a**2 * total / (n * (n - 1))

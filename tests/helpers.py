@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
-from randual.channels import KRAUS_TOL_SCALE, DilatedChannel
+from randual.channels import KRAUS_TOL_SCALE, DilatedChannel, stinespring_dilate
 from randual.dual import _batch_states, dual_ensemble, estimate_observable
 from randual.linalg import (
     assert_hermitian,
@@ -114,6 +115,19 @@ def random_kraus_channel(rng, d_a, d_b, r):
     return KrausChannel(q.reshape(r, d_b, d_a))
 
 
+def all_test_channels(seed=0):
+    """One small channel of every kind and construction the suite covers."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_unitary_channel(8, 2, rng),
+        random_unitary_channel(6, 3, rng),
+        depolarizing(0.3),
+        amplitude_damping(0.4),
+        random_kraus_channel(rng, 3, 2, 3),
+        stinespring_dilate(depolarizing(0.6)),
+    ]
+
+
 def random_density_matrix(rng, d):
     m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = m @ m.conj().T
@@ -163,6 +177,29 @@ def full_dilation_rows_oracle(u, d_b, nu, psis):
     if nu > 1:
         states = states * np.sqrt(nu)
     return states.reshape(n, d_b * (d_u // nu))
+
+
+class ChoiMatrix(NamedTuple):
+    """Choi matrix on (input copy, output), input copy slowest."""
+
+    matrix: np.ndarray
+    d_a: int
+    d_b: int
+
+
+def choi_matrix(ch):
+    """Choi matrix (1/d_a) sum_ij |i><j| (x) X(|i><j|), built from that
+    definition: one channel action per matrix unit, each by its kind's own
+    definition (apply_channel_oracle). The Choi-side reference for
+    validate_channel and, through dual_from_choi, for exact_dual."""
+    d_a, d_b = ch.d_a, ch.d_b
+    s = np.zeros((d_a, d_b, d_a, d_b), dtype=complex)
+    for i in range(d_a):
+        for j in range(d_a):
+            unit = np.zeros((d_a, d_a), dtype=complex)
+            unit[i, j] = 1.0
+            s[i, :, j, :] = apply_channel_oracle(ch, unit)
+    return ChoiMatrix(s.reshape(d_a * d_b, d_a * d_b) / d_a, d_a, d_b)
 
 
 def kraus_from_choi(choi, tol=None):

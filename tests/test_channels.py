@@ -1,29 +1,34 @@
-"""Channel representations, Choi calculus, dilation, JSON specs."""
+"""Channel representations, validation against the Choi oracle, dilation, JSON specs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from randual.channels import (
-    ChoiMatrix,
+    KRAUS_TOL_SCALE,
+    UNITARY_ATOL,
     DilatedChannel,
     KrausChannel,
     UnitaryChannel,
     apply_channel,
     channel_from_dict,
     channel_to_dict,
-    choi_matrix,
-    choi_pairing,
     dilation_dim,
     kraus_operators,
-    kraus_rank,
     load_channel,
     save_channel,
     stinespring_dilate,
     validate_channel,
 )
-from randual.linalg import kron, partial_trace
+from randual.dual import duality_pairing, exact_dual
+from randual.linalg import hs_norm, kron, partial_trace
+from randual.rng import haar_unitary
 
 from helpers import (
+    ChoiMatrix,
+    all_test_channels,
     amplitude_damping,
+    choi_matrix,
     depolarizing,
     kraus_from_choi,
     random_density_matrix,
@@ -38,24 +43,12 @@ def apply_bruteforce(ops, rho):
     return sum(m @ rho @ m.conj().T for m in ops)
 
 
-def all_test_channels(seed=0):
-    rng = np.random.default_rng(seed)
-    return [
-        random_unitary_channel(8, 2, rng),
-        random_unitary_channel(6, 3, rng),
-        depolarizing(0.3),
-        amplitude_damping(0.4),
-        random_kraus_channel(rng, 3, 2, 3),
-        stinespring_dilate(depolarizing(0.6)),
-    ]
-
-
 def test_identity_channel():
     ch = UnitaryChannel(np.eye(4, dtype=complex), d_b=4)
     rng = np.random.default_rng(1)
     rho = random_density_matrix(rng, 4)
     assert np.allclose(apply_channel(ch, rho), rho, atol=1e-13)
-    assert kraus_rank(ch) == 1
+    assert validate_channel(ch).kraus_rank == 1
     # Choi of the identity is the maximally entangled projector
     sig = choi_matrix(ch).matrix
     assert np.isclose(np.trace(sig @ sig).real, 1.0, atol=1e-12)
@@ -67,7 +60,7 @@ def test_depolarizing_fixed_point():
     rng = np.random.default_rng(2)
     rho = random_density_matrix(rng, 2)
     assert np.allclose(apply_channel(ch, rho), np.eye(2) / 2, atol=1e-12)
-    assert kraus_rank(ch) == 4
+    assert validate_channel(ch).kraus_rank == 4
 
 
 def test_apply_matches_bruteforce_all_kinds():
@@ -106,19 +99,19 @@ def test_choi_invariants_all_kinds():
 def test_choi_pairing_equals_direct_evaluation():
     rng = np.random.default_rng(5)
     for ch in all_test_channels():
-        sig = choi_matrix(ch)
+        rho = exact_dual(ch)
         for _ in range(3):
             a = random_hermitian(rng, ch.d_a)
             b = random_hermitian(rng, ch.d_b)
             want = np.trace(apply_channel(ch, a) @ b).real
-            assert np.isclose(choi_pairing(sig, a, b), want, atol=1e-10)
+            assert np.isclose(duality_pairing(rho, a, b), want, atol=1e-10)
 
 
 def test_choi_pairing_identity_pair():
     ch = depolarizing(0.2)
     eye2 = np.eye(2, dtype=complex)
     # trace preservation: tr[X(I)] = d_a
-    assert np.isclose(choi_pairing(choi_matrix(ch), eye2, eye2), 2.0, atol=1e-12)
+    assert np.isclose(duality_pairing(exact_dual(ch), eye2, eye2), 2.0, atol=1e-12)
 
 
 def test_kraus_from_choi_roundtrip():
@@ -144,9 +137,9 @@ def test_kraus_from_choi_rejects_nonpositive():
 
 
 def test_kraus_rank_counts_choi_eigenvalues():
-    assert kraus_rank(depolarizing(0.5)) == 4
-    assert kraus_rank(amplitude_damping(0.3)) == 2
-    assert kraus_rank(amplitude_damping(0.0)) == 1
+    assert validate_channel(depolarizing(0.5)).kraus_rank == 4
+    assert validate_channel(amplitude_damping(0.3)).kraus_rank == 2
+    assert validate_channel(amplitude_damping(0.0)).kraus_rank == 1
 
 
 def test_stinespring_amplitude_damping():
@@ -215,6 +208,52 @@ def test_validate_channel_unitary_kinds():
     ddiag = validate_channel(dil)
     assert ddiag.is_valid and ddiag.kind == "dilated"
     assert ddiag.unitarity_residual < 1e-12
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(11)
+    names = ["unitary-8/2", "unitary-6/3", "depolarizing", "amplitude-damping", "kraus-3/2-r3", "dilated-depolarizing"]
+    return {
+        **dict(zip(names, all_test_channels())),
+        "kraus-8/4-r3": random_kraus_channel(rng, 8, 4, 3),  # r < d_a * d_b = 32
+        "kraus-4/2-r8": random_kraus_channel(rng, 4, 2, 8),  # r = d_a * d_b
+        "kraus-2/2-r6": random_kraus_channel(rng, 2, 2, 6),  # r > d_a * d_b = 4
+        "unitary-64/2": random_unitary_channel(64, 2, rng),
+        "dilated-16/4": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),
+        "broken-tp": KrausChannel(depolarizing(0.3).operators * 1.01),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_cases()))
+def test_validation_matches_choi_oracle(name):
+    ch = _oracle_cases()[name]
+    diag = validate_channel(ch)
+    sig = choi_matrix(ch).matrix
+    w = np.linalg.eigvalsh(sig)
+    assert diag.choi_spectrum.shape == w.shape
+    assert np.abs(diag.choi_spectrum - w).max() <= 1e-14
+    assert diag.kraus_rank == int(np.sum(w > KRAUS_TOL_SCALE * ch.d_a))
+    assert abs(diag.choi_trace - np.trace(sig).real) <= 1e-14
+    # tracing out the output leaves (sum_k M_k^dag M_k)^t / d_a
+    tp = hs_norm(ch.d_a * partial_trace(sig, (ch.d_a, ch.d_b), [0]) - np.eye(ch.d_a))
+    assert abs(diag.tp_residual - tp) <= 1e-12
+    unitary = getattr(ch, "unitary", None)
+    unitary_ok = unitary is None or hs_norm(unitary.conj().T @ unitary - np.eye(len(unitary))) <= UNITARY_ATOL
+    assert diag.is_valid == (tp <= UNITARY_ATOL and w[0] >= -UNITARY_ATOL and unitary_ok)
+    assert diag.is_valid == (name != "broken-tp")
+
+
+def test_validation_never_forms_the_choi_matrix():
+    # 64 -> 16 with r = 16: the Choi matrix would be 1024 x 1024 complex, 16 MiB
+    ch = random_kraus_channel(np.random.default_rng(12), 64, 16, 16)
+    tracemalloc.start()
+    try:
+        diag = validate_channel(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.is_valid and diag.kraus_rank == 16
+    assert peak < 2 * 2**20
 
 
 def test_channel_dict_roundtrip_all_kinds():

@@ -63,6 +63,29 @@ def test_inspect_kraus_rank(depol_file, tmp_path):
     assert report["unitarity_residual"] is None
 
 
+@pytest.mark.parametrize("kind", ["kraus", "unitary"])
+def test_inspect_report_format(kind, tmp_path, capsys):
+    # both have rank r = 3 or 4, below d_a * d_b = 32 or 16
+    if kind == "kraus":
+        ch, r = random_kraus_channel(np.random.default_rng(3), 8, 4, 3), 3
+    else:
+        ch, r = UnitaryChannel(haar_unitary(8, 3), d_b=2), 4
+    path = tmp_path / "channel.json"
+    save_channel(ch, str(path))
+    assert cli.main(["inspect", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {
+        "kind", "d_a", "d_b", "tp_residual", "choi_min_eigenvalue", "choi_trace",
+        "unitarity_residual", "kraus_rank", "choi_spectrum", "is_valid",
+    }  # fmt: skip
+    spectrum = report["choi_spectrum"]
+    d = ch.d_a * ch.d_b
+    assert len(spectrum) == d and spectrum == sorted(spectrum)
+    assert spectrum[: d - r] == [0.0] * (d - r) and min(spectrum[d - r :]) > 0
+    assert report["choi_min_eigenvalue"] == 0.0
+    assert report["kraus_rank"] == r
+
+
 def test_inspect_rejects_broken_channel(tmp_path):
     bad = KrausChannel(depolarizing(0.3).operators * 1.01)
     path = tmp_path / "bad.json"
@@ -180,7 +203,9 @@ def test_overflowing_channel_is_invalid_not_a_lapack_error(kind, tmp_path, capsy
     out, err = capsys.readouterr()
     report = json.loads(out, parse_constant=lambda token: pytest.fail(f"non-standard JSON constant {token}"))
     assert report["is_valid"] is False
-    assert "channel fails validation" in err
+    assert err.startswith("validation failure: channel fails validation") and err.count("\n") == 1
+    # the overflow is the reported result: a real stderr holds that line and no numpy warning
+    assert run_cli(["inspect", str(path)], cwd=tmp_path).stderr == err
     argv = ["estimate", str(path), "--observable-a", SIGMA_Z_JSON, "--observable-b", SIGMA_Z_JSON]
     assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 2
     assert "channel fails validation" in capsys.readouterr().err
@@ -278,6 +303,31 @@ def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):
     assert data["sigma"] is None
     assert np.isfinite(data["estimate"])
     _strict_json(tmp_path / "out" / "manifest.json")
+
+
+def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
+    # 8000 states: one 512 x 8000 overlap block at a time, next to its squares
+    unitary = tmp_path / "unitary.json"
+    save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
+    priced = {}
+    check_budget = cli._check_budget
+
+    def recording(force, **elements):
+        priced.update(elements)
+        check_budget(force, **elements)
+
+    monkeypatch.setattr(cli, "_check_budget", recording)
+    argv = ["otoc", str(unitary), "--observable-a", mat_json(np.eye(4)), "--observable-b", PROJ0_JSON,
+            "--pairs", "4000", "--pairing", "all", "--output-dir", str(tmp_path / "out")]  # fmt: skip
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert priced["pair_overlaps"] == 3 * 512 * 8000 // 2
+    assert peak <= 16 * priced["pair_overlaps"] + 8 * 2**20
 
 
 def test_otoc_rejects_nonprojector_b(scrambler, tmp_path):

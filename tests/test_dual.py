@@ -7,8 +7,6 @@ from randual.channels import (
     KrausChannel,
     UnitaryChannel,
     apply_channel,
-    choi_matrix,
-    choi_pairing,
     stinespring_dilate,
 )
 from randual import dual
@@ -35,6 +33,7 @@ from helpers import (
     amplitude_damping,
     apply_channel_oracle,
     batch_states_oracle,
+    choi_matrix,
     depolarizing,
     dual_from_choi,
     full_dilation_rows_oracle,
@@ -311,7 +310,7 @@ def test_rank1_bound_matches_choi_pairing(kind):
     a = np.outer(v, v.conj())
     c = rng.normal(size=(ch.d_b, ch.d_b)) + 1j * rng.normal(size=(ch.d_b, ch.d_b))
     b = c @ c.conj().T
-    want = choi_pairing(choi_matrix(ch), a, b) ** 2
+    want = duality_pairing(exact_dual(ch), a, b) ** 2
     assert _rel_err(rank1_variance_bound(ch, v, b), want) <= 1e-12
     assert _rel_err(rank1_variance_bound(ch, a, b), want) <= 1e-12
 

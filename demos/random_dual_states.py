@@ -22,9 +22,11 @@ def main():
         rep = distance_report(ens)
         print(f"{n:6d} {rep.hs_distance:12.5f} {rep.bound:10.5f} {rep.trace_distance:11.5f}")
     # every row stores only N vectors; the N = 50 ensemble is already a
-    # rank-50 approximation of a 64 x 64 matrix to ~2 digits
+    # rank-50 approximation of a 64 x 64 matrix to ~2 digits. The ensemble
+    # keeps the N Haar draws on the traced factor, d_b^2 times smaller than
+    # the rows they fix (the rows are multiplied out on first use).
     ens = dual_ensemble(ch, 50, master_seed=4)
-    print(f"\nensemble storage: {ens.states.shape} complex")
+    print(f"\nensemble storage: draws {ens.draws.shape} (N, d_env) vs rows {ens.states.shape} (N, d_b*d_a) complex")
     print(f"samples are unit vectors: max |norm - 1| = "
           f"{np.abs(np.linalg.norm(ens.states, axis=1) - 1).max():.2e}")
 

@@ -167,7 +167,8 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (ch.d_a, ch.d_a):
         raise ValueError(f"input shape {rho.shape} does not match d_a={ch.d_a}")
     ops = kraus_operators(ch)
-    return np.einsum("kmi,ij,knj->mn", ops, rho, ops.conj())
+    x = (ops.reshape(-1, ch.d_a) @ rho).reshape(ops.shape)  # every M_k rho in one GEMM
+    return np.tensordot(x, ops.conj(), axes=([0, 2], [0, 2]))
 
 
 def _dilation_ancilla(r: int, d_a: int, d_b: int) -> int:

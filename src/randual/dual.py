@@ -42,20 +42,19 @@ the (N + r)-square R D R^dag, O(d_b d_a (N + r)^2) work; otherwise the
 d x d difference is formed.
 
 dual_ensemble samples every channel kind. General channels go through a
-unitary dilation: sampling the dilated unitary's dual and projecting the
-dilation ancilla of the input copy onto its reference vector (with a
-compensating sqrt factor) yields states that are normalized only in
-expectation but whose mean is again the exact dual. Only the dilation
-columns that survive the projection are multiplied.
+unitary dilation, whose samples projected onto the dilation ancilla's
+reference vector (with a compensating sqrt factor) are normalized only in
+expectation but average to the exact dual. Ensembles keep the Haar draws:
+rows are multiplied out on first use, and a rank-1 A reads the draws.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, UnitaryChannel, kraus_operators, stinespring_dilate
+from .channels import Channel, UnitaryChannel, dilation_dim, kraus_operators, stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
@@ -69,25 +68,32 @@ KIND_POSTSELECTED = "general_postselected"
 
 @dataclass(frozen=True)
 class DualStateEnsemble:
-    """Random dual states of a channel stacked row-wise, each of dimension
-    d_b * d_a.
+    """Random dual states of a channel as their Haar draws on the traced
+    factor, (N, d_env) with d_env = dilation_dim(channel) // d_b.
 
-    d_a, d_b and kind are read off the channel: a UnitaryChannel gives
-    unitary_induced rows, which are unit vectors; any other channel gives
-    general_postselected rows, normalized in expectation only.
+    Construction takes the kept isometry columns off the channel; states,
+    the (N, d_b * d_a) rows, is formed on first access and kept. A
+    UnitaryChannel gives unitary_induced unit rows; any other channel, via
+    one stinespring_dilate, general_postselected rows, normalized in
+    expectation only. d_a, d_b and kind are read off the channel.
     """
 
-    states: np.ndarray
+    draws: np.ndarray
     master_seed: int
     channel: Channel
+    _cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.states, dtype=complex)
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError("states must be a nonempty row stack")
-        if s.shape[1] != self.d_b * self.d_a:
-            raise ValueError(f"state dimension {s.shape[1]} != d_b*d_a = {self.d_b * self.d_a}")
-        object.__setattr__(self, "states", s)
+        ch, p = self.channel, np.asarray(self.draws, dtype=complex)
+        d_env = dilation_dim(ch) // ch.d_b
+        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != d_env:
+            raise ValueError(f"draws must be a nonempty (N, d_env = {d_env}) stack, got shape {p.shape}")
+        object.__setattr__(self, "draws", p)
+        u = ch.unitary if isinstance(ch, UnitaryChannel) else stinespring_dilate(ch).unitary
+        # The kept columns, (d_b, d_env, d_a), are copied contiguous (a no-op when
+        # nu == 1) so matmul stays on BLAS and each row keeps the full product's bits.
+        cols = u.reshape(ch.d_b, d_env, ch.d_a, self._nu)[..., 0]
+        object.__setattr__(self, "_cols", np.ascontiguousarray(cols))
 
     @property
     def d_a(self) -> int:
@@ -103,7 +109,28 @@ class DualStateEnsemble:
 
     @property
     def n_samples(self) -> int:
-        return self.states.shape[0]
+        return self.draws.shape[0]
+
+    @property
+    def _nu(self) -> int:  # dilation ancilla dimension, 1 for a UnitaryChannel
+        return self.draws.shape[1] * self.d_b // self.d_a
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """Rows (I (x) V^dag)(|phi+> (x) |psi_k>), V = _cols read as (d_b, d_env, d_a).
+
+        |phi+> (x) |psi> is delta_{rs} psi[e] / sqrt(d_b) at column (s, e), so
+        row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b), the conjugate
+        of conj(psis) @ V[r]: one GEMM per ancilla index against V in place,
+        writing only the (d_b, N, d_a) result. Dilated rows get sqrt(nu).
+        """
+        (d_b, _, d_a), n = self._cols.shape, self.n_samples
+        prod = np.matmul(self.draws.conj(), self._cols)
+        out = np.empty((n, d_b, d_a), dtype=complex)
+        np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
+        if self._nu > 1:
+            out *= np.sqrt(self._nu)
+        return out.reshape(n, d_b * d_a)
 
 
 @dataclass(frozen=True)
@@ -131,55 +158,24 @@ class DistanceReport:
     n_samples: int
 
 
-def _batch_states(cols: np.ndarray, psis: np.ndarray) -> np.ndarray:
-    """Rows (I (x) V^dag)(|phi+> (x) |psi_k>) for a stack of traced-factor states.
-
-    cols holds the isometry V read as (d_b, d_env, d_a): row (r, e) of the
-    unitary (or of the kept dilation columns) at column i. |phi+> (x) |psi>
-    viewed as an (ancilla, d_env) table is delta_{rs} psi[e] / sqrt(d_b) at
-    column (s, e), so applying V^dag collapses to row block
-    r = sum_e psi[e] conj(cols[r, e, :]) / sqrt(d_b). That is the conjugate
-    of conj(psis) @ cols[r], one GEMM per ancilla index against cols read in
-    place: only the (d_b, N, d_a) result is written, never a conj(V) or
-    transposed copy of V.
-    """
-    d_b, _, d_a = cols.shape
-    n = psis.shape[0]
-    prod = np.matmul(psis.conj(), cols)
-    out = np.empty((n, d_b, d_a), dtype=complex)
-    np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
-    return out.reshape(n, d_b * d_a)
-
-
 def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEnsemble:
     """N independent dual states of any channel; sample k is seeded by (master_seed, k).
 
-    A unitary-induced channel gives unit rows, and row k is built from
-    haar_state(d_c, SeedSpec(master_seed, k).rng()) alone.
-    Any other channel goes through its unitary dilation: each sample draws
-    the dilated unitary's dual state and keeps the component with the
-    dilation ancilla in its reference vector, scaled by sqrt(ancilla dim) so
-    norms are 1 in expectation. Only the dilation columns with the ancilla
-    in its reference vector enter the product, so no dropped amplitude is
-    computed. The ensemble mean converges to exact_dual(ch). A trivial
-    dilation (ancilla dim 1) gives the same rows bitwise as the
-    unitary-induced channel it dilates.
+    Sample k is the kept draw haar_state(d_env, SeedSpec(master_seed, k).rng()).
+    A unitary-induced channel (d_env = d_c) gives unit rows. Any other
+    channel is dilated once, here: its rows keep the dilation ancilla's
+    reference component, scaled by sqrt(ancilla dim) so norms are 1 in
+    expectation, and only those dilation columns are ever multiplied. The
+    mean converges to exact_dual(ch). A trivial dilation (ancilla dim 1)
+    gives the rows of the unitary-induced channel it dilates, bitwise.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    u = ch.unitary if isinstance(ch, UnitaryChannel) else stinespring_dilate(ch).unitary
-    d_a, d_b = ch.d_a, ch.d_b
-    nu, d_env = u.shape[0] // d_a, u.shape[0] // d_b
-    psis = np.empty((n_samples, d_env), dtype=complex)
+    d_env = dilation_dim(ch) // ch.d_b
+    draws = np.empty((n_samples, d_env), dtype=complex)
     for k in range(n_samples):
-        psis[k] = haar_state(d_env, SeedSpec(master_seed, k).rng())
-    # The kept columns are copied contiguous (a no-op when nu == 1) so matmul
-    # stays on BLAS at every N and each row keeps the bits of the full product.
-    cols = np.ascontiguousarray(u.reshape(d_b, d_env, d_a, nu)[..., 0])
-    states = _batch_states(cols, psis)
-    if nu > 1:
-        states *= np.sqrt(nu)
-    return DualStateEnsemble(states, master_seed, ch)
+        draws[k] = haar_state(d_env, SeedSpec(master_seed, k).rng())
+    return DualStateEnsemble(draws, master_seed, ch)
 
 
 def exact_dual_factor(ch: Channel) -> np.ndarray:
@@ -264,13 +260,16 @@ def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.nd
 
     Their mean estimates tr[X(A) B]; their spread is the ensemble's
     intrinsic statistical error for this observable pair. A is a Hermitian
-    d_a x d_a matrix, or a length-d_a vector v meaning A = |v><v|. With the
-    vector, y = S conj(v) for the states S read as (N, d_b, d_a), and
-    x_k = d_a sum_rs conj(y_kr) B_sr y_ks: O(N d_b d_a) work, no d_a^2 term.
+    d_a x d_a matrix, or a length-d_a vector v meaning A = |v><v|, read
+    against the draws psi_k, never the rows: with Phi = V v as (d_b, d_env)
+    for the kept isometry columns V, y = sqrt(nu / d_b) psi conj(Phi)^T and
+    x_k = d_a sum_rs conj(y_kr) B_sr y_ks, one mat-vec plus O(N d_env d_b).
     """
     a, b = _observables(a, b, ens.d_a, ens.d_b)
     if a.ndim == 1:
-        y = (ens.states.reshape(-1, ens.d_a) @ a.conj()).reshape(ens.n_samples, ens.d_b)
+        phi = (ens._cols.reshape(-1, ens.d_a) @ a).reshape(ens.d_b, -1)
+        y = ens.draws @ phi.conj().T
+        y *= np.sqrt(ens._nu / ens.d_b)
         vals = np.einsum("kr,kr->k", y.conj(), y @ b)
     else:
         s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)

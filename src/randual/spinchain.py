@@ -19,9 +19,9 @@ n_a spins, for the induced general channel.
 
 Dense 2^n x 2^n matrices are built without a size check; the caller budgets
 them. Defaults target interactive runs (n = 8, d = 256). At n = 10 one time
-point (U(t), 200 samples and the variance bound) measured about 0.18 s on
-one BLAS thread, two thirds of it forming U(t), so the default 41-point grid
-takes about 8 s; each added spin multiplies the dense work by about 8.
+point (U(t), 200 samples and the variance bound) measured about 0.13 s on
+one BLAS thread of a 2-core x86 box, 85% of it forming U(t), so the default
+41-point grid takes about 6 s; each added spin multiplies the dense work by 8.
 """
 from __future__ import annotations
 

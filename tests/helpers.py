@@ -10,7 +10,7 @@ import numpy as np
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
 from randual.channels import KRAUS_TOL_SCALE, DilatedChannel, stinespring_dilate
-from randual.dual import _batch_states, dual_ensemble, estimate_observable
+from randual.dual import DualStateEnsemble, dual_ensemble, estimate_observable
 from randual.linalg import (
     assert_hermitian,
     evolution_from_eig,
@@ -146,17 +146,17 @@ def max_entangled_state(d):
 def sample_dual_state(ch, seed):
     """One dual state of a unitary-induced channel, drawn alone from its
     seed address: (I (x) U^dag)(|phi+> (x) |psi>), psi Haar on the traced
-    factor. An int seed means sample 0 of that master seed."""
+    factor, as the one row of an ensemble of that single draw. An int seed
+    means sample 0 of that master seed."""
     if isinstance(seed, int):
         seed = SeedSpec(seed)
     psi = haar_state(ch.d_c, seed.rng())
-    cols = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a)
-    return _batch_states(cols, psi[np.newaxis, :])[0]
+    return DualStateEnsemble(psi[np.newaxis, :], seed.master_seed, ch).states[0]
 
 
 def batch_states_oracle(u, d_b, psis):
     """Dual rows by the contraction psi . conj(U) over the traced factor,
-    with conj(U) formed in full: the reference for dual._batch_states."""
+    with conj(U) formed in full: the reference for DualStateEnsemble.states."""
     d_a = u.shape[0]
     uc = u.conj().reshape(d_b, d_a // d_b, d_a)
     out = np.tensordot(psis, uc, axes=([1], [1])) / np.sqrt(d_b)

@@ -1,4 +1,6 @@
 """Random dual states, exact duals, estimators, variance bounds."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,54 @@ def test_vector_observable_on_postselected_ensembles(kind):
     assert _rel_err(got, sample_values(ens, np.outer(v, v.conj()), b)) <= 1e-12
 
 
+def _rank1_kinds():
+    rng = np.random.default_rng(51)
+    unitary = random_unitary_channel(16, 4, rng)
+    return {
+        "unitary": unitary,
+        "kraus r<d": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d_a = 8
+        "kraus r>d": random_kraus_channel(rng, 2, 2, 6),  # r = 6 > d_b * d_a = 4
+        "dilated": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),
+        "trivially dilated": stinespring_dilate(unitary),
+    }
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus r<d", "kraus r>d", "dilated", "trivially dilated"])
+def test_rank1_values_from_draws_match_rows(kind):
+    # the vector branch reads the draws; the dense |v><v| branch reads the rows
+    ch = _rank1_kinds()[kind]
+    rng = np.random.default_rng(52)
+    v = _random_vector(rng, ch.d_a, True)
+    b = random_hermitian(rng, ch.d_b)
+    b /= np.abs(np.linalg.eigvalsh(b)).max()
+    ens = dual_ensemble(ch, 40, master_seed=53)
+    got = sample_values(ens, v, b)
+    assert "states" not in vars(ens)
+    want = sample_values(ens, np.outer(v, v.conj()), b)
+    assert "states" in vars(ens)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_rank1_estimate_never_forms_rows():
+    # 256-dimensional unitary channel, d_b = 2: the draws are (500, 128),
+    # d_b^2 = 4 times fewer bytes than the (500, 512) rows, and the estimate
+    # runs on them alone
+    ch = random_unitary_channel(256, 2, np.random.default_rng(54))
+    v = _random_vector(np.random.default_rng(55), ch.d_a, True)
+    b = np.diag([1.0, -1.0])
+    rows_bytes = 500 * ch.d_b * ch.d_a * 16
+    tracemalloc.start()
+    try:
+        ens = dual_ensemble(ch, 500, master_seed=56)
+        rep = estimate_observable(ens, v, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "states" not in vars(ens)
+    assert peak < rows_bytes
+    assert rep.estimate == float(sample_values(ens, v, b).mean())
+
+
 def test_vector_variance_bound_clamps_at_zero():
     # d_a = d_b = 1: the two terms of the rank-1 numerator are equal, so
     # rounding alone decides the sign of their difference on this grid
@@ -450,9 +500,12 @@ def test_ensemble_construction_checks():
     with pytest.raises(ValueError):
         dual_ensemble(ch, 0, master_seed=1)
     assert dual_ensemble(depolarizing(0.1), 3, master_seed=1).kind == KIND_POSTSELECTED
-    states = dual_ensemble(ch, 2, master_seed=1).states
-    with pytest.raises(ValueError):
-        DualStateEnsemble(states[:, :4], 1, ch)
+    draws = dual_ensemble(ch, 2, master_seed=1).draws
+    assert draws.shape == (2, ch.d_c)
+    # a row-wide stack, one draw as a 1-D array, an empty stack
+    for bad in (np.ones((2, ch.d_b * ch.d_a)), draws[0], draws[:0]):
+        with pytest.raises(ValueError):
+            DualStateEnsemble(bad, 1, ch)
 
 
 @pytest.mark.parametrize("kind", [UnitaryChannel, DilatedChannel, KrausChannel])
@@ -564,9 +617,12 @@ def test_exact_dual_factor_reproduces_exact_dual(kind):
     assert np.abs(exact_dual(ch) - dual_from_choi(choi_matrix(ch))).max() <= 1e-14
 
 
-@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing", "unitary 64->4"])
 def test_apply_channel_matches_kind_oracle(kind):
-    ch = _every_channel_kind()[kind]
+    # 64 -> 4 unitary-induced: r = 16 operators, where a three-operand
+    # einsum loop took about 5 ms per call
+    channels = {**_every_channel_kind(), "unitary 64->4": random_unitary_channel(64, 4, np.random.default_rng(50))}
+    ch = channels[kind]
     rng = np.random.default_rng(48)
     for rho in (random_hermitian(rng, ch.d_a), np.eye(ch.d_a)):
         assert np.abs(apply_channel(ch, rho) - apply_channel_oracle(ch, rho)).max() <= 1e-13
@@ -575,11 +631,15 @@ def test_apply_channel_matches_kind_oracle(kind):
 @pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
 def test_ensemble_metadata_is_read_off_the_channel(kind):
     ch = _every_channel_kind()[kind]
-    states = dual_ensemble(ch, 3, master_seed=49).states
-    ens = DualStateEnsemble(states, 49, ch)
+    drawn = dual_ensemble(ch, 3, master_seed=49)
+    ens = DualStateEnsemble(drawn.draws, 49, ch)
     assert (ens.d_a, ens.d_b) == (ch.d_a, ch.d_b)
     assert ens.kind == (KIND_UNITARY if kind == "unitary" else KIND_POSTSELECTED)
-    for width in (ch.d_b * ch.d_a - 1, ch.d_b * ch.d_a + 1, ch.d_a, ch.d_b):
+    d_env = stinespring_dilate(ch).env_dim
+    assert ens.draws.shape == (3, d_env)
+    assert np.array_equal(ens.states, drawn.states)
+    for width in (d_env - 1, d_env + 1, ch.d_a, ch.d_b):
+        assert width != d_env
         with pytest.raises(ValueError):
             DualStateEnsemble(np.ones((3, width)), 49, ch)
 

@@ -189,8 +189,8 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
 
 
 def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
-    # dense: dilation, exact dual, estimator, otoc's kron(B^t, A); validation's
-    # min(r, d) * max(r, d) SVD of the r Kraus rows, d = d_a * d_b, fits inside;
+    # dense: dilation, exact dual, estimator; validation's min(r, d) * max(r, d)
+    # SVD of the r Kraus rows, d = d_a * d_b, fits inside;
     # rows: the sampled dual states, d_b * d_a wide; draws: one Haar vector on
     # the dilation's environment per row, wider than a row when d_b^2 < ancilla
     d_u = dilation_dim(ch)
@@ -331,7 +331,7 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
     _check_budget(
         args.force,
         dense_matrix=(1, 2 * args.n),
-        state_rows=(args.n_samples, args.n + 1),
+        haar_draws=(args.n_samples, args.n - 1),
         time_grid=n_times,
     )
     rows = thermalization_experiment(
@@ -358,7 +358,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     _check_budget(
         args.force,
         dense_matrix=(1, 2 * max(args.n, n_a + args.nb)),
-        state_rows=(max(args.n_values), args.n + args.nb),
+        state_rows=(max(args.n_values), n_a + args.nb),
+        haar_draws=(max(args.n_values), args.n - args.nb),
     )
     rows = distance_scaling_experiment(
         n=args.n,

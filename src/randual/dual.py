@@ -45,7 +45,7 @@ dual_ensemble samples every channel kind. General channels go through a
 unitary dilation, whose samples projected onto the dilation ancilla's
 reference vector (with a compensating sqrt factor) are normalized only in
 expectation but average to the exact dual. Ensembles keep the Haar draws:
-rows are multiplied out on first use, and a rank-1 A reads the draws.
+rows are formed on first use; a rank-1 A and the OTOC read the draws.
 """
 from __future__ import annotations
 
@@ -120,17 +120,22 @@ class DualStateEnsemble:
         """Rows (I (x) V^dag)(|phi+> (x) |psi_k>), V = _cols read as (d_b, d_env, d_a).
 
         |phi+> (x) |psi> is delta_{rs} psi[e] / sqrt(d_b) at column (s, e), so
-        row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b), the conjugate
-        of conj(psis) @ V[r]: one GEMM per ancilla index against V in place,
-        writing only the (d_b, N, d_a) result. Dilated rows get sqrt(nu).
+        row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b): _row_block
+        for every r at once, one GEMM per ancilla index. Dilated rows get sqrt(nu).
         """
-        (d_b, _, d_a), n = self._cols.shape, self.n_samples
-        prod = np.matmul(self.draws.conj(), self._cols)
-        out = np.empty((n, d_b, d_a), dtype=complex)
-        np.divide(np.conjugate(prod, out=prod).transpose(1, 0, 2), np.sqrt(d_b), out=out)
-        if self._nu > 1:
-            out *= np.sqrt(self._nu)
-        return out.reshape(n, d_b * d_a)
+        return _row_block(self, slice(None)).transpose(1, 0, 2).reshape(self.n_samples, -1)
+
+
+def _row_block(ens: DualStateEnsemble, m: int | slice) -> np.ndarray:
+    """Block m of every row, states.reshape(N, d_b, d_a)[:, m], read off the
+    draws as draws conj(V[m]) sqrt(nu / d_b): N d_env d_a work per block. A
+    slice of ancilla indices stacks its blocks first, (k, N, d_a)."""
+    block = np.matmul(ens.draws.conj(), ens._cols[m])
+    np.conjugate(block, out=block)
+    block /= np.sqrt(ens.d_b)
+    if ens._nu > 1:
+        block *= np.sqrt(ens._nu)
+    return block
 
 
 @dataclass(frozen=True)
@@ -287,15 +292,19 @@ def estimate_observable(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) ->
     sigma_n divides whichever of the two is usable by sqrt(N).
     """
     vals = sample_values(ens, a, b)
-    n = vals.size
-    estimate = float(vals.mean())
-    empirical = float(vals.std(ddof=1)) if n > 1 else float("nan")
     bound = None
     if ens.kind == KIND_UNITARY:
         bound = float(np.sqrt(variance_bound(ens.channel, a, b)))
+    return _mean_report(vals, bound)
+
+
+def _mean_report(vals: np.ndarray, bound: float | None = None) -> EstimatorReport:
+    """Mean, ddof=1 sigma and sigma / sqrt(n) of independent values; bound stands in for one value."""
+    n = vals.size
+    empirical = float(vals.std(ddof=1)) if n > 1 else float("nan")
     sigma = empirical if n > 1 else (bound if bound is not None else float("nan"))
     return EstimatorReport(
-        estimate=estimate,
+        estimate=float(vals.mean()),
         empirical_sigma=empirical,
         analytic_sigma_bound=bound,
         sigma_n=float(sigma / np.sqrt(n)),

@@ -6,8 +6,6 @@ varying index, so kron(A, B)[i*dB + k, j*dB + l] = A[i, j] * B[k, l].
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 # max |M - M^dag| tolerated where a Hermitian input is required
@@ -57,30 +55,6 @@ def assert_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "m
         raise ValueError(f"{name} has non-finite entries")
     if resid > atol:
         raise ValueError(f"{name} is not Hermitian: residual {resid:.3e} > {atol:.1e}")
-
-
-def partial_trace(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out all tensor factors not listed in keep.
-
-    dims lists the factor dimensions slowest first; keep lists the factor
-    positions that survive, in increasing order. The result is a matrix on
-    the kept factors in their original relative order.
-    """
-    m = np.asarray(m)
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(k) for k in keep))
-    total = int(np.prod(dims))
-    if m.shape != (total, total):
-        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
-    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep {keep} out of range for {len(dims)} factors")
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    row = list(range(k))
-    col = [i + k if i in keep else i for i in range(k)]
-    out = [i for i in keep] + [i + k for i in keep]
-    kept_dim = int(np.prod([dims[i] for i in keep]))
-    return np.einsum(t, row + col, out).reshape(kept_dim, kept_dim)
 
 
 def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:

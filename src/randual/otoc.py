@@ -1,25 +1,25 @@
 """Second-moment estimation: out-of-time-order correlators from dual samples.
 
-For a unitary-induced channel with W = U A U^dag and B lifted to the input
-space as B (x) I_c, the squared-overlap average over two independent dual
-samples recovers
+For a unitary-induced channel with W = U A U^dag and a rank-1 computational
+projector B = |m><m| lifted to the input space as B (x) I_c, the
+squared-overlap average over two independent dual samples recovers
 
-    F = d_a^2 tr[(O rho_X)^2] = tr[G^2],   G = tr_b[(B (x) I_c) W],
+    F = tr[(W (B (x) I_c))^2] = d_a^2 tr[(O rho_X)^2] = ||U_m A U_m^dag||_F^2,
 
-with O = B^t (x) A on the dual layout. When B is a rank-1 computational
-projector this is the standard four-point correlator tr[(W (B (x) I_c))^2],
-so F can be estimated from pair overlaps of the same random states used for
+with O = B^t (x) A on the dual layout and U_m the d_c x d_a row block m of U.
+O touches only block m of each dual row, so F comes from overlaps of those
+d_a entries, read off the Haar draws of the same random states used for
 observable estimation, with no separate forward and backward evolutions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import UnitaryChannel
-from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport
-from .linalg import assert_hermitian, partial_trace
+from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport, _mean_report, _row_block
+from .linalg import assert_hermitian
 
 #: chunk height for the all-pairs overlap matrix: memory peaks at one
 #: chunk x N complex block plus its float squares
@@ -30,14 +30,14 @@ _ALL_PAIRS_CHUNK = 512
 class OtocSpec:
     """Correlator specification: channel, input observable A, output B.
 
-    With b_is_projector set, B must be a rank-1 projector diagonal in the
-    computational basis; that is the case with a pair-sampling estimator.
+    B must be a rank-1 projector |m><m| diagonal in the computational basis;
+    its basis index is kept as m.
     """
 
     channel: UnitaryChannel
     a: np.ndarray
     b: np.ndarray
-    b_is_projector: bool = True
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.channel, UnitaryChannel):
@@ -50,29 +50,25 @@ class OtocSpec:
             raise ValueError(f"B shape {b.shape} does not match d_b={self.channel.d_b}")
         assert_hermitian(a, name="A")
         assert_hermitian(b, name="B")
-        if self.b_is_projector:
-            off = b - np.diag(np.diag(b))
-            if np.abs(off).max() > PROJECTOR_ATOL:
-                raise ValueError("projector B must be diagonal in the computational basis")
-            if np.abs(b @ b - b).max() > PROJECTOR_ATOL or abs(np.trace(b) - 1.0) > PROJECTOR_ATOL:
-                raise ValueError("projector B must satisfy B^2 = B and tr B = 1")
+        off = b - np.diag(np.diag(b))
+        if np.abs(off).max() > PROJECTOR_ATOL:
+            raise ValueError("projector B must be diagonal in the computational basis")
+        if np.abs(b @ b - b).max() > PROJECTOR_ATOL or abs(np.trace(b) - 1.0) > PROJECTOR_ATOL:
+            raise ValueError("projector B must satisfy B^2 = B and tr B = 1")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", int(np.argmax(np.diag(b).real)))
 
 
 def otoc_exact(spec: OtocSpec) -> float:
-    """Closed-form correlator tr[G^2] with G = tr_b[(B (x) I_c) U A U^dag].
-
-    Covers Hermitian B generally; for a computational rank-1 projector it
-    equals tr[(U A U^dag (B (x) I_c))^2]. G is Hermitian, so the value is
-    real and, for projector B, nonnegative.
+    """Closed-form correlator tr[G^2] = ||G||_F^2, real and nonnegative, with
+    G = U_m A U_m^dag the block (m, m) of U A U^dag, which is
+    tr_b[(B (x) I_c) U A U^dag] for B = |m><m|: d_c d_a^2 work.
     """
     ch = spec.channel
-    u = ch.unitary
-    w = u @ spec.a @ u.conj().T
-    bw = np.einsum("bd,dcj->bcj", spec.b, w.reshape(ch.d_b, ch.d_c, ch.d_a))
-    g = partial_trace(bw.reshape(ch.d_a, ch.d_a), (ch.d_b, ch.d_c), [1])
-    return float(np.trace(g @ g).real)
+    u_m = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a)[spec.m]
+    g = u_m @ spec.a @ u_m.conj().T
+    return float(np.vdot(g, g).real)
 
 
 def otoc_estimate(
@@ -80,48 +76,38 @@ def otoc_estimate(
 ) -> EstimatorReport:
     """Correlator estimate from pair overlaps of dual samples.
 
-    Averages d_a^2 |<Psi_k|(B^t (x) A)|Psi_k'>|^2 over sample pairs. The
-    default disjoint pairing uses (0,1), (2,3), ... so the averaged values
-    are independent and the reported sigma is a valid standard error;
-    pairing="all" averages every unordered pair instead (a lower-variance
-    U-statistic whose terms are dependent, so no sigma is reported).
-    n_samples on the report counts averaged pairs, not states.
+    Averages d_a^2 |conj(s_k) A s_k'|^2 over sample pairs, s_k block m of
+    row k read off its Haar draw. The default disjoint pairing uses (0,1),
+    (2,3), ... so the averaged values are independent and the reported
+    sigma is a valid standard error; pairing="all" averages every unordered
+    pair instead (a lower-variance U-statistic whose terms are dependent,
+    so no sigma is reported). n_samples on the report counts averaged
+    pairs, not states.
     """
-    if not spec.b_is_projector:
-        raise ValueError("pair-sampling estimation needs the projector form of B")
     if ens.n_samples < 2:
         raise ValueError("need at least 2 samples to form a pair")
     if ens.d_a != spec.channel.d_a or ens.d_b != spec.channel.d_b:
         raise ValueError("ensemble dimensions do not match the correlator spec")
     d_a = spec.channel.d_a
-    o = np.kron(spec.b.T, spec.a)
-    states = ens.states
+    s = _row_block(ens, spec.m)
     if pairing == "disjoint":
-        n_pairs = states.shape[0] // 2
-        even = states[0 : 2 * n_pairs : 2]
-        odd = states[1 : 2 * n_pairs : 2]
-        inner = np.einsum("pi,pi->p", even.conj(), odd @ o.T)
-        vals = d_a**2 * np.abs(inner) ** 2
-        estimate = float(vals.mean())
-        sigma = float(vals.std(ddof=1)) if n_pairs > 1 else float("nan")
-        return EstimatorReport(
-            estimate=estimate,
-            empirical_sigma=sigma,
-            analytic_sigma_bound=None,
-            sigma_n=float(sigma / np.sqrt(n_pairs)),
-            n_samples=n_pairs,
-        )
+        n_pairs = s.shape[0] // 2
+        # conj(A s_k') against s_k: the conjugate overlap, same modulus,
+        # with no copy of the even blocks
+        t = s[1 : 2 * n_pairs : 2] @ spec.a.T
+        inner = np.einsum("pi,pi->p", s[0 : 2 * n_pairs : 2], np.conjugate(t, out=t))
+        return _mean_report(d_a**2 * np.abs(inner) ** 2)
     if pairing == "all":
-        n = states.shape[0]
-        ot = o @ states.T  # (d, N), small d so this dominates nothing
+        n = s.shape[0]
+        at = spec.a @ s.T  # (d_a, N), small d_a so this dominates nothing
         total = 0.0
         for lo in range(0, n, _ALL_PAIRS_CHUNK):
-            block = states[lo : lo + _ALL_PAIRS_CHUNK].conj() @ ot
+            block = s[lo : lo + _ALL_PAIRS_CHUNK].conj() @ at
             sq = np.abs(block) ** 2
             total += sq.sum() - np.trace(sq, offset=lo)
             # free both before the next block, so one chunk is alive at a time
             del block, sq
-        # symmetric in (k, k') for Hermitian O: ordered sum / 2 per pair
+        # symmetric in (k, k') for Hermitian A: ordered sum / 2 per pair
         n_pairs = n * (n - 1) // 2
         estimate = d_a**2 * total / (n * (n - 1))
         return EstimatorReport(

@@ -15,7 +15,6 @@ from randual.linalg import (
     assert_hermitian,
     evolution_from_eig,
     hermitian_eig,
-    partial_trace,
     sigma_y,
     sigma_z,
 )
@@ -294,3 +293,47 @@ def thermalization_dense_oracle(n, polarization, times, n_samples, seed, observa
         rep = estimate_observable(ens, a, b)
         rows.append({"time": float(t), "exact": exact, "estimate": rep.estimate, "sigma_n": rep.sigma_n})
     return rows
+
+
+def partial_trace(m, dims, keep):
+    """Trace out all tensor factors not listed in keep.
+
+    dims lists the factor dimensions slowest first; keep lists the factor
+    positions that survive, in increasing order. The result is a matrix on
+    the kept factors in their original relative order.
+    """
+    m = np.asarray(m)
+    dims = tuple(int(d) for d in dims)
+    keep = sorted(set(int(k) for k in keep))
+    total = int(np.prod(dims))
+    if m.shape != (total, total):
+        raise ValueError(f"matrix shape {m.shape} does not match dims {dims}")
+    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep {keep} out of range for {len(dims)} factors")
+    k = len(dims)
+    t = m.reshape(dims + dims)
+    row = list(range(k))
+    col = [i + k if i in keep else i for i in range(k)]
+    out = [i for i in keep] + [i + k for i in keep]
+    kept_dim = int(np.prod([dims[i] for i in keep]))
+    return np.einsum(t, row + col, out).reshape(kept_dim, kept_dim)
+
+
+def otoc_exact_oracle(spec):
+    """tr[G^2] with G = tr_b[(B (x) I_c) U A U^dag], through the full
+    product U A U^dag and a partial trace: the reference for otoc_exact."""
+    ch = spec.channel
+    u = ch.unitary
+    w = u @ spec.a @ u.conj().T
+    bw = np.einsum("bd,dcj->bcj", spec.b, w.reshape(ch.d_b, ch.d_c, ch.d_a))
+    g = partial_trace(bw.reshape(ch.d_a, ch.d_a), (ch.d_b, ch.d_c), [1])
+    return float(np.trace(g @ g).real)
+
+
+def otoc_overlaps_oracle(spec, ens):
+    """N x N pair values d_a^2 |<Psi_k|(B^t (x) A)|Psi_k'>|^2 over the full
+    rows ens.states, with B^t (x) A formed by kron: the reference for the
+    block reading of otoc_estimate. Forms the rows."""
+    o = np.kron(spec.b.T, spec.a)
+    s = ens.states
+    return spec.channel.d_a**2 * np.abs(s.conj() @ o @ s.T) ** 2

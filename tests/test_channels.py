@@ -21,7 +21,7 @@ from randual.channels import (
     validate_channel,
 )
 from randual.dual import duality_pairing, exact_dual
-from randual.linalg import hs_norm, kron, partial_trace
+from randual.linalg import hs_norm, kron
 from randual.rng import haar_unitary
 
 from helpers import (
@@ -31,6 +31,7 @@ from helpers import (
     choi_matrix,
     depolarizing,
     kraus_from_choi,
+    partial_trace,
     random_density_matrix,
     random_hermitian,
     random_kraus_channel,

@@ -11,7 +11,7 @@ from randual.channels import DilatedChannel, KrausChannel, UnitaryChannel, save_
 from randual.dual import EstimatorReport
 from randual.rng import haar_unitary
 
-from helpers import depolarizing, random_kraus_channel, run_cli
+from helpers import depolarizing, random_hermitian, random_kraus_channel, run_cli
 
 SIGMA_Z_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[-1.0,0.0]]]"
 PROJ0_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]]"
@@ -527,15 +527,49 @@ def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_p
         (["scaling", "--n", "13"], 3),
         (["scaling", "--n", "13", "--force"], 0),
         (["scaling", "--n", "4", "--nb", "5"], 2),
+        # exactly the budget in Haar draws: 2^15 x 2^9 and 2^13 x 2^11 entries
+        (["thermalize", "--n", "10", "--pol", "z", "--n-samples", "32768", "--t-max", "0"], 0),
+        (["scaling", "--n", "12", "--na", "1", "--nb", "1", "--n-values", "8192"], 0),
     ],
     ids=["12-sites", "13-sites-forced", "scaling-11-sites", "scaling-13-sites",
-         "scaling-13-sites-forced", "split-out-of-range"],
+         "scaling-13-sites-forced", "split-out-of-range", "thermalize-draws-at-budget",
+         "scaling-draws-at-budget"],
 )  # fmt: skip
 def test_budget_prices_chain_sizes(argv, code, monkeypatch, tmp_path):
     # the experiments are stubbed, so only the pricing runs at these sizes
     monkeypatch.setattr(cli, "thermalization_experiment", lambda **kwargs: [])
     monkeypatch.setattr(cli, "distance_scaling_experiment", lambda **kwargs: [])
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thermalize", "--n", "10", "--pol", "z", "--n-samples", "32769", "--t-max", "0"],
+        ["scaling", "--n", "12", "--na", "1", "--nb", "1", "--n-values", "8193"],
+    ],
+    ids=["thermalize", "scaling"],
+)
+def test_chain_draws_past_the_budget_are_refused(argv, monkeypatch, tmp_path, capsys):
+    # one sample past the budget: the draws, N x 2^(n - nb), are the largest array
+    monkeypatch.setattr(cli, "thermalization_experiment", lambda **kwargs: [])
+    monkeypatch.setattr(cli, "distance_scaling_experiment", lambda **kwargs: [])
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 3
+    assert "the haar draws needs" in capsys.readouterr().err
+
+
+def test_thermalize_holds_draws_not_rows(tmp_path):
+    # 10000 draws of 2^9 entries take 78 MiB; the 2^11-wide rows, never
+    # formed, would take 312 MiB, past the budget
+    tracemalloc.start()
+    try:
+        code = cli.main(["thermalize", "--n", "10", "--pol", "z", "--n-samples", "10000", "--t-max", "0",
+                         "--output-dir", str(tmp_path)])  # fmt: skip
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < cli.MAX_UNFORCED_BYTES
 
 
 def test_budget_boundary_and_force():
@@ -684,11 +718,20 @@ def test_reruns_are_byte_identical(which, tmp_path, scrambler):
 TWO_THREADS = {var: "2" for var in ("RANDUAL_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("which", ["scaling", "dual-distance"])
+@pytest.mark.parametrize("which", ["scaling", "dual-distance", "otoc", "otoc-all"])
 def test_reruns_at_two_threads_are_byte_identical(which, tmp_path):
     # the determinism contract: a fixed environment, thread count included
     if which == "scaling":
         args, produced = ["scaling", "--n", "6"], "scaling.csv"
+    elif which.startswith("otoc"):
+        # 64 -> 2 unitary channel: block GEMMs of 64 columns; 600 states
+        # make two all-pairs chunks
+        channel, a = tmp_path / "unitary.json", tmp_path / "a.json"
+        save_channel(UnitaryChannel(haar_unitary(64, 7), d_b=2), str(channel))
+        a.write_text(mat_json(random_hermitian(np.random.default_rng(8), 64)))
+        pairing = ["--pairs", "300", "--pairing", "all"] if which == "otoc-all" else ["--pairs", "2000"]
+        args = ["otoc", str(channel), "--observable-a", str(a), "--observable-b", PROJ0_JSON, *pairing]
+        produced = "otoc.json"
     else:
         channel = tmp_path / "kraus.json"
         save_channel(random_kraus_channel(np.random.default_rng(3), 16, 4, 4), str(channel))

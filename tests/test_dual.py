@@ -28,7 +28,7 @@ from randual.dual import (
     sample_values,
     variance_bound,
 )
-from randual.linalg import hs_distance, kron, partial_trace, trace_distance
+from randual.linalg import hs_distance, kron, trace_distance
 from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
 
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     dual_from_choi,
     full_dilation_rows_oracle,
     max_entangled_state,
+    partial_trace,
     random_hermitian,
     random_kraus_channel,
     random_unitary_channel,

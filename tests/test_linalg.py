@@ -9,7 +9,6 @@ from randual.linalg import (
     hs_distance,
     hs_norm,
     kron,
-    partial_trace,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -19,7 +18,7 @@ from randual.linalg import (
 from randual.rng import haar_unitary
 from randual.spinchain import ising_hamiltonian
 
-from helpers import max_entangled_state, random_hermitian
+from helpers import max_entangled_state, partial_trace, random_hermitian
 
 
 def kron_bruteforce(a, b):

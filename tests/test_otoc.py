@@ -1,13 +1,22 @@
 """Out-of-time-order correlators: exact values and pair-overlap estimates."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from randual.channels import UnitaryChannel
+from randual.channels import UnitaryChannel, stinespring_dilate
 from randual.dual import dual_ensemble, exact_dual
 from randual.linalg import kron
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 
-from helpers import depolarizing, random_hermitian, random_unitary_channel
+from helpers import (
+    depolarizing,
+    otoc_exact_oracle,
+    otoc_overlaps_oracle,
+    random_hermitian,
+    random_kraus_channel,
+    random_unitary_channel,
+)
 
 
 def proj0(d):
@@ -60,27 +69,14 @@ def test_commuting_operators_reduce_to_time_ordered_value():
     assert np.isclose(otoc_exact(spec), static, atol=1e-10)
 
 
-def test_general_hermitian_b_allowed_for_exact_value():
-    rng = np.random.default_rng(3)
-    ch = random_unitary_channel(8, 2, rng)
-    a = random_hermitian(rng, 8)
-    spec_proj = OtocSpec(ch, a, proj0(2))
-    spec_loose = OtocSpec(ch, a, proj0(2), b_is_projector=False)
-    assert otoc_exact(spec_proj) == otoc_exact(spec_loose)
-    # non-projector B is fine for the exact value, and it stays real
-    b = random_hermitian(rng, 2)
-    val = otoc_exact(OtocSpec(ch, a, b, b_is_projector=False))
-    assert isinstance(val, float)
-
-
 def test_exact_value_is_nonnegative():
-    # tr[G^2] with Hermitian G
+    # tr[G^2] with Hermitian G, for either output projector
     for seed in range(5):
         rng = np.random.default_rng(40 + seed)
         ch = random_unitary_channel(8, 2, rng)
         a = random_hermitian(rng, 8)
-        b = random_hermitian(rng, 2)
-        assert otoc_exact(OtocSpec(ch, a, b, b_is_projector=False)) >= -1e-12
+        b = np.diag(np.eye(2)[seed % 2])
+        assert otoc_exact(OtocSpec(ch, a, b)) >= 0.0
 
 
 def test_spec_validation():
@@ -169,9 +165,6 @@ def test_error_scales_as_inverse_sqrt_pairs():
 def test_estimate_input_checks():
     spec = default_spec(9)
     ens = dual_ensemble(spec.channel, 10, master_seed=55)
-    loose = OtocSpec(spec.channel, spec.a, spec.b, b_is_projector=False)
-    with pytest.raises(ValueError):
-        otoc_estimate(loose, ens)
     with pytest.raises(ValueError):
         otoc_estimate(spec, dual_ensemble(spec.channel, 1, master_seed=56))
     other = random_unitary_channel(8, 4, np.random.default_rng(10))
@@ -179,3 +172,59 @@ def test_estimate_input_checks():
         otoc_estimate(spec, dual_ensemble(other, 10, master_seed=57))
     with pytest.raises(ValueError):
         otoc_estimate(spec, ens, pairing="ring")
+
+
+def _block_case(name):
+    """(spec, ensemble) for one block-reading case: the ensemble's channel
+    is the spec's, except for the dilated case, which samples a 12 -> 3
+    Kraus channel through a nu = 5 dilation of the same dimensions."""
+    rng = np.random.default_rng(60)
+    if name == "64/2":
+        spec = OtocSpec(random_unitary_channel(64, 2, rng), random_hermitian(rng, 64), proj0(2))
+    elif name == "8/1":
+        spec = OtocSpec(random_unitary_channel(8, 1, rng), random_hermitian(rng, 8), np.eye(1))
+    else:
+        spec = OtocSpec(random_unitary_channel(12, 3, rng), random_hermitian(rng, 12), np.diag([0.0, 0.0, 1.0]))
+    if name == "12/3 dilated":
+        ch = stinespring_dilate(random_kraus_channel(rng, 12, 3, 5))
+        assert ch.ancilla_dim > 1
+    else:
+        ch = spec.channel
+    return spec, dual_ensemble(ch, 41, master_seed=61)
+
+
+@pytest.mark.parametrize("name", ["64/2", "8/1", "12/3 m=2", "12/3 dilated"])
+def test_block_reading_matches_dense_oracle(name):
+    spec, ens = _block_case(name)
+    disjoint = otoc_estimate(spec, ens)
+    allp = otoc_estimate(spec, ens, pairing="all")
+    assert spec.m == (2 if name.startswith("12/3") else 0)
+    # the oracle reads the full rows through kron(B^t, A)
+    vals = otoc_overlaps_oracle(spec, ens)
+    n = ens.n_samples
+    pairs = vals[np.arange(0, n - 1, 2), np.arange(1, n, 2)]
+    assert disjoint.n_samples == pairs.size == 20
+    assert np.isclose(disjoint.estimate, pairs.mean(), rtol=1e-12, atol=0)
+    assert np.isclose(disjoint.empirical_sigma, pairs.std(ddof=1), rtol=1e-12, atol=0)
+    assert np.isclose(disjoint.sigma_n, pairs.std(ddof=1) / np.sqrt(20), rtol=1e-12, atol=0)
+    want_all = (vals.sum() - np.trace(vals)) / (n * (n - 1))
+    assert np.isclose(allp.estimate, want_all, rtol=1e-12, atol=0)
+    assert np.isclose(otoc_exact(spec), otoc_exact_oracle(spec), rtol=1e-12, atol=0)
+
+
+def test_otoc_estimate_never_forms_rows():
+    # 64 -> 4 unitary channel, N = 2000: the rows would take 8.2 MB; the
+    # block of each row the overlaps read is a quarter of that
+    rng = np.random.default_rng(62)
+    spec = OtocSpec(random_unitary_channel(64, 4, rng), random_hermitian(rng, 64), proj0(4))
+    ens = dual_ensemble(spec.channel, 2000, master_seed=63)
+    rows_bytes = ens.n_samples * ens.d_b * ens.d_a * 16
+    tracemalloc.start()
+    try:
+        otoc_estimate(spec, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows_bytes
+    otoc_estimate(spec, ens, pairing="all")
+    assert "states" not in vars(ens)

@@ -39,9 +39,9 @@ from pathlib import Path
 import numpy as np
 
 from . import _BLAS_THREAD_VARS, __version__
-from .channels import _matrix_from_json, dilation_dim, load_channel, validate_channel
+from .channels import KrausChannel, _matrix_from_json, dilation_dim, load_channel, validate_channel
 from .dual import distance_table, dual_ensemble, estimate_observable
-from .otoc import _ALL_PAIRS_CHUNK, OtocSpec, otoc_estimate, otoc_exact
+from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
@@ -188,18 +188,24 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
         )
 
 
-def _channel_elements(ch, n_rows: int = 0) -> dict[str, int]:
-    # dense: dilation, exact dual, estimator; validation's min(r, d) * max(r, d)
-    # SVD of the r Kraus rows, d = d_a * d_b, fits inside;
-    # rows: the sampled dual states, d_b * d_a wide; draws: one Haar vector on
-    # the dilation's environment per row, wider than a row when d_b^2 < ancilla
-    d_u = dilation_dim(ch)
-    dense = max(d_u, ch.d_a * ch.d_b)
-    return {
-        "dense_matrix": dense * dense,
-        "state_rows": n_rows * ch.d_b * ch.d_a,
-        "haar_draws": n_rows * (d_u // ch.d_b),
-    }
+def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
+    """Elements of the arrays a channel command holds, for the budget.
+
+    Validation copies the Kraus stack (its SVD and d_a x d_a Gram fit
+    inside) and forms U^dag U for a channel that carries a unitary. n_rows
+    samples are drawn on the dilation's environment, after a Kraus channel
+    builds its dilation unitary. formed names what the command builds from
+    the draws: state_rows, row_blocks (block m of every row) or exact_dual.
+    """
+    d_u, d = dilation_dim(ch), ch.d_b * ch.d_a
+    kraus = isinstance(ch, KrausChannel)
+    elements = {"kraus_stack": ch.operators.size} if kraus else {}
+    if n_rows or not kraus:
+        elements["unitary"] = d_u * d_u
+    if n_rows:
+        elements["haar_draws"] = n_rows * (d_u // ch.d_b)
+    sizes = {"state_rows": n_rows * d, "row_blocks": n_rows * ch.d_a, "exact_dual": d * d}
+    return elements | {name: sizes[name] for name in formed}
 
 
 def _load_observable(text: str) -> np.ndarray:
@@ -220,13 +226,13 @@ def _load_observable(text: str) -> np.ndarray:
         raise ConfigError(f"bad observable matrix: {exc}") from exc
 
 
-def _channel_inputs(args: argparse.Namespace, n_rows: int, **extra: int):
+def _channel_inputs(args: argparse.Namespace, n_rows: int, *formed: str):
     """The channel and, if the command takes them, observables A and B:
-    loaded (config), priced with n_rows sampled rows plus the extra arrays
+    loaded (config), priced with n_rows samples and the formed arrays
     (budget), then validated, in that order."""
     ch = _load_channel(args.channel)
     observables = [_load_observable(getattr(args, k)) for k in ("observable_a", "observable_b") if k in args]
-    _check_budget(args.force, **_channel_elements(ch, n_rows), **extra)
+    _check_budget(args.force, **_channel_elements(ch, n_rows, *formed))
     _require_valid(validate_channel(ch))
     return ch, *observables
 
@@ -280,7 +286,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    ch, a, b = _channel_inputs(args, args.n_samples)
+    # rows for the dense A; the variance bound's d_a x d_a products fit in the unitary
+    ch, a, b = _channel_inputs(args, args.n_samples, "state_rows")
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
     path = _write_result(args, t0, "estimate.json", asdict(rep))
@@ -290,7 +297,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_dual_distance(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
-    (ch,) = _channel_inputs(args, max(args.n_values))
+    (ch,) = _channel_inputs(args, max(args.n_values), "state_rows", "exact_dual")
     rows = distance_table(ch, args.n_values, args.trials, args.seed)
     path = _write_result(args, t0, "distances.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")
@@ -300,11 +307,8 @@ def cmd_dual_distance(args: argparse.Namespace) -> int:
 def cmd_otoc(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     n = 2 * args.pairs
-    # the all-pairs sum builds a block of overlaps, _ALL_PAIRS_CHUNK rows at a
-    # time, next to its float squares: 1.5 complex elements per overlap
-    block = min(n, _ALL_PAIRS_CHUNK) * n
-    extra = {"pair_overlaps": (3 * block + 1) // 2} if args.pairing == "all" else {}
-    ch, a, b = _channel_inputs(args, n, **extra)
+    # the all-pairs A s^T and min(N, d_a)-square product fit in the row blocks
+    ch, a, b = _channel_inputs(args, n, "row_blocks")
     try:
         spec = OtocSpec(ch, a, b)
     except TypeError as exc:
@@ -353,8 +357,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     t0 = time.monotonic()
     n_a = args.n if args.na is None else args.na
     # the split sets the sizes, so it is checked before they are priced
-    if not (1 <= n_a <= args.n and 1 <= args.nb <= args.n):
-        raise ValidationFailure(f"need 1 <= na, nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
+    if not (0 <= n_a <= args.n and 1 <= args.nb <= args.n):
+        raise ValidationFailure(f"need 0 <= na <= n and 1 <= nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
     _check_budget(
         args.force,
         dense_matrix=(1, 2 * max(args.n, n_a + args.nb)),
@@ -447,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("scaling", cmd_scaling, "estimator distance scaling in ensemble size")
     chain(p)
-    p.add_argument("--na", type=int, default=None, help="input spins (default: n)")
+    p.add_argument("--na", type=int, default=None, help="input spins (default: n; 0 compresses the first nb spins' state)")
     p.add_argument("--nb", type=int, default=1, help="output spins (default 1)")
     p.add_argument("--t", type=_finite_float, default=1.0, help="evolution time (default 1)")
     sizes(p)

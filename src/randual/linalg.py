@@ -57,9 +57,9 @@ def assert_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, name: str = "m
         raise ValueError(f"{name} is not Hermitian: residual {resid:.3e} > {atol:.1e}")
 
 
-def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    assert_hermitian(m, atol)
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix Hermitian within HERMITIAN_ATOL, eigenvalues ascending."""
+    assert_hermitian(m)
     return np.linalg.eigh(m)
 
 
@@ -94,9 +94,9 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
-def unitary_evolution(h: np.ndarray, t: float, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, via full eigendecomposition."""
-    w, v = hermitian_eig(h, atol)
+def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i h t) for h Hermitian within HERMITIAN_ATOL, via full eigendecomposition."""
+    w, v = hermitian_eig(h)
     return evolution_from_eig(w, v, t)
 
 

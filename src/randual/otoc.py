@@ -21,10 +21,6 @@ from .channels import UnitaryChannel
 from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport, _mean_report, _row_block
 from .linalg import assert_hermitian
 
-#: chunk height for the all-pairs overlap matrix: memory peaks at one
-#: chunk x N complex block plus its float squares
-_ALL_PAIRS_CHUNK = 512
-
 
 @dataclass(frozen=True)
 class OtocSpec:
@@ -99,22 +95,18 @@ def otoc_estimate(
         return _mean_report(d_a**2 * np.abs(inner) ** 2)
     if pairing == "all":
         n = s.shape[0]
-        at = spec.a @ s.T  # (d_a, N), small d_a so this dominates nothing
-        total = 0.0
-        for lo in range(0, n, _ALL_PAIRS_CHUNK):
-            block = s[lo : lo + _ALL_PAIRS_CHUNK].conj() @ at
-            sq = np.abs(block) ** 2
-            total += sq.sum() - np.trace(sq, offset=lo)
-            # free both before the next block, so one chunk is alive at a time
-            del block, sq
-        # symmetric in (k, k') for Hermitian A: ordered sum / 2 per pair
-        n_pairs = n * (n - 1) // 2
-        estimate = d_a**2 * total / (n * (n - 1))
+        t = s @ spec.a.T  # Y = A s^T, held as its transpose
+        x = np.conjugate(s, out=s)
+        # Q = X Y holds every overlap conj(s_k) A s_k' and is Hermitian, so the
+        # sum of |Q_kk'|^2 off the diagonal is tr[Q^2] - sum_k |q_k|^2 with q
+        # its diagonal; tr[(X Y)^2] = tr[(Y X)^2], so the smaller product serves
+        p = x @ t.T if n <= d_a else t.T @ x
+        q = np.einsum("ki,ki->k", x, t)
+        total = np.einsum("ij,ji->", p, p).real - np.vdot(q, q).real
+        # symmetric in (k, k'): the ordered sum counts each of the pairs twice
+        nan = float("nan")
         return EstimatorReport(
-            estimate=float(estimate),
-            empirical_sigma=float("nan"),
-            analytic_sigma_bound=None,
-            sigma_n=float("nan"),
-            n_samples=n_pairs,
+            estimate=float(d_a**2 * total / (n * (n - 1))), empirical_sigma=nan,
+            analytic_sigma_bound=None, sigma_n=nan, n_samples=n * (n - 1) // 2,
         )
     raise ValueError(f"unknown pairing {pairing!r}; use 'disjoint' or 'all'")

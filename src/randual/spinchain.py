@@ -149,12 +149,14 @@ def distance_scaling_experiment(
     spins. With n_a = n the channel is unitary-induced; with n_a < n the
     input is restricted to the first n_a spins (the rest start in |0>) and
     sampling goes through the dilated path with unnormalized post-selected
-    states. Rows and seeding are those of dual.distance_table.
+    states. With n_a = 0 it prepares the first n_b spins' reduced state
+    rho_S(t) of the z-polarized chain, the exact dual is rho_S(t)^T, and N
+    samples compress it. Rows and seeding are those of dual.distance_table.
     """
     if not 1 <= n_b <= n:
         raise ValueError(f"need 1 <= n_b <= n, got n_b={n_b}, n={n}")
-    if not 1 <= n_a <= n:
-        raise ValueError(f"need 1 <= n_a <= n, got n_a={n_a}, n={n}")
+    if not 0 <= n_a <= n:
+        raise ValueError(f"need 0 <= n_a <= n, got n_a={n_a}, n={n}")
     ham = ising_hamiltonian(n, g, h)
     u = unitary_evolution(ham, t)
     if n_a == n:

@@ -306,7 +306,8 @@ def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):
 
 
 def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
-    # 8000 states: one 512 x 8000 overlap block at a time, next to its squares
+    # 8000 states: the N x d_a row blocks are the largest array priced, and
+    # the all-pairs trace holds nothing wider than them
     unitary = tmp_path / "unitary.json"
     save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
     priced = {}
@@ -326,8 +327,8 @@ def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert priced["pair_overlaps"] == 3 * 512 * 8000 // 2
-    assert peak <= 16 * priced["pair_overlaps"] + 8 * 2**20
+    assert priced == {"unitary": 16, "haar_draws": 8000 * 2, "row_blocks": 8000 * 4}
+    assert peak <= 16 * sum(priced.values()) + 8 * 2**20
 
 
 def test_otoc_rejects_nonprojector_b(scrambler, tmp_path):
@@ -445,6 +446,17 @@ def test_scaling_command(tmp_path):
     assert len(rows) == 1 + 4
 
 
+def test_scaling_compresses_the_reduced_state(tmp_path):
+    # --na 0: the channel prepares the first nb spins' reduced state
+    code = cli.main(["scaling", "--n", "4", "--na", "0", "--nb", "2", "--n-values", "10,30", "--trials", "2",
+                     "--output-dir", str(tmp_path)])  # fmt: skip
+    assert code == 0
+    with open(tmp_path / "scaling.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == 1 + 4
+    assert cli.main(["scaling", "--n", "4", "--na", "-1", "--output-dir", str(tmp_path)]) == 2
+
+
 def test_usage_errors(tmp_path):
     negative_seed = ["thermalize", "--n", "3", "--pol", "z", "--seed", "-1"]
     nan_channel = tmp_path / "nan.json"
@@ -500,20 +512,15 @@ def no_allocation(monkeypatch):
         ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
          SIGMA_Z_JSON, "--n-samples", "100000000"],
         ["dual-distance", "{isometry}"],
-        # 40000 states are 2.4 MiB of rows, but the all-pairs overlap block is 512 x 40000
-        ["otoc", "{unitary}", "--observable-a", mat_json(np.eye(4)), "--observable-b", PROJ0_JSON,
-         "--pairs", "20000", "--pairing", "all"],
     ],
     ids=["13-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
-         "128x64-isometry", "all-pairs-overlaps"],
+         "128x64-isometry"],
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
     isometry = tmp_path / "isometry.json"
-    # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 Choi matrix
+    # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 exact dual
     save_channel(KrausChannel(np.eye(128, 64)[np.newaxis]), str(isometry))
-    unitary = tmp_path / "unitary.json"
-    save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
-    argv = [a.format(depol=depol_file, isometry=isometry, unitary=unitary) for a in argv]
+    argv = [a.format(depol=depol_file, isometry=isometry) for a in argv]
     assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
     assert "resource cap" in capsys.readouterr().err
 
@@ -576,19 +583,98 @@ def test_budget_boundary_and_force():
     # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b, and
     # 4096 rows of d_b * d_a = 4096 entries, each exactly MAX_UNFORCED_BYTES
     ch = KrausChannel(np.zeros((64, 64, 64)))
-    elements = cli._channel_elements(ch, n_rows=4096)
-    assert elements == {"dense_matrix": 4096**2, "state_rows": 4096 * 64 * 64, "haar_draws": 4096 * 64}
+    elements = cli._channel_elements(ch, 4096, "state_rows")
+    assert elements == {"kraus_stack": 64**3, "unitary": 4096**2, "haar_draws": 4096 * 64,
+                        "state_rows": 4096 * 64 * 64}  # fmt: skip
     cli._check_budget(False, **elements)
     with pytest.raises(cli.ResourceCapError, match="state rows"):
-        cli._check_budget(False, **cli._channel_elements(ch, n_rows=4097))
+        cli._check_budget(False, **cli._channel_elements(ch, 4097, "state_rows"))
+    # validation alone: a Kraus channel copies its stack, a unitary-carrying
+    # one forms U^dag U; no dilation is built
+    assert cli._channel_elements(ch) == {"kraus_stack": 64**3}
+    assert cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2)) == {"unitary": 64}
+    # otoc's blocks are d_a wide; dual-distance adds the (d_b * d_a)^2 exact dual
+    blocks = cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks", "exact_dual")
+    assert blocks == {"unitary": 64, "haar_draws": 40, "row_blocks": 80, "exact_dual": 256}
     # 4 -> 1 with r = 4: the environment draws are 16 wide, the rows 4 wide
-    draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), n_rows=10)
+    draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10, "state_rows")
     assert draws["haar_draws"] == 4 * draws["state_rows"] == 160
     with pytest.raises(cli.ResourceCapError, match="dense matrix"):
         cli._check_budget(False, dense_matrix=4096**2 + 1, time_grid=3)
     with pytest.raises(cli.ResourceCapError, match="time grid"):
         cli._check_budget(False, dense_matrix=4, time_grid=2**40)
     cli._check_budget(True, dense_matrix=1 << 1200)  # --n 600 --force
+
+
+@pytest.fixture(scope="module")
+def priced_inputs(tmp_path_factory):
+    """Channels and observables for the commands whose old prices refused
+    them: a 256 -> 8 Kraus channel with r = 32 (dilation dimension 8192),
+    256 -> 32 and 256 -> 16 unitaries (exact duals 8192 and 4096 square),
+    and a 4 -> 2 unitary."""
+    d = tmp_path_factory.mktemp("priced")
+    save_channel(random_kraus_channel(np.random.default_rng(70), 256, 8, 32), str(d / "kraus256.json"))
+    for d_a, d_b in ((256, 32), (256, 16), (4, 2)):
+        save_channel(UnitaryChannel(haar_unitary(d_a, d_b), d_b=d_b), str(d / f"unitary{d_a}-{d_b}.json"))
+        (d / f"a{d_a}.json").write_text(mat_json(random_hermitian(np.random.default_rng(d_a), d_a)))
+        (d / f"b{d_b}.json").write_text(mat_json(np.diag(np.eye(d_b)[0])))
+    return d
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inspect", "kraus256.json"],
+        ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
+         "--n-samples", "200"],
+        ["otoc", "unitary256-16.json", "--observable-a", "a256.json", "--observable-b", "b16.json",
+         "--pairs", "2049"],
+        # 40000 states are 2.4 MiB of rows; the all-pairs trace holds no pair table
+        ["otoc", "unitary4-2.json", "--observable-a", "a4.json", "--observable-b", "b2.json",
+         "--pairs", "20000", "--pairing", "all"],
+    ],
+    ids=["inspect-dilation", "estimate-exact-dual", "otoc-rows", "all-pairs-overlaps"],
+)  # fmt: skip
+def test_channel_commands_run_where_the_old_price_refused(argv, priced_inputs, tmp_path):
+    # each exited 3 while its command priced an array it never builds: the
+    # 8192^2 dilation, the 8192^2 exact dual, 4098 rows of 4096 entries
+    # (2^28.0 bytes, one pair past the budget) and the pair-overlap block
+    argv = [str(priced_inputs / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
+
+
+def _unbuilt(cls, name, shape, **fields):
+    """A channel whose matrix is a zero-stride view of the given shape: it
+    prices like the real one, and nothing is allocated behind it."""
+    ch = object.__new__(cls)
+    object.__setattr__(ch, name, np.broadcast_to(np.complex128(0), shape))
+    for key, value in fields.items():
+        object.__setattr__(ch, key, value)
+    return ch
+
+
+@pytest.mark.parametrize(
+    "argv, channel, entry",
+    [
+        # 4097 x 64 x 64 operators: the stack validation copies is 2^24 + 4096 elements
+        (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (4097, 64, 64)), "kraus stack"),
+        (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1), "unitary"),
+        # 2049 rows of 32 x 256 entries: one row past the budget
+        (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2049"],
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32), "state rows"),
+        # 2^16 + 2 blocks of 256 entries: one pair past the budget
+        (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16), "row blocks"),
+    ],
+    ids=["inspect-kraus", "inspect-unitary", "estimate", "otoc"],
+)  # fmt: skip
+def test_channel_commands_refuse_one_past_their_largest_entry(
+    argv, channel, entry, priced_inputs, no_allocation, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(cli, "load_channel", lambda path: channel)
+    argv = [str(priced_inputs / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 3
+    assert f"the {entry} needs" in capsys.readouterr().err
 
 
 def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch):
@@ -724,8 +810,8 @@ def test_reruns_at_two_threads_are_byte_identical(which, tmp_path):
     if which == "scaling":
         args, produced = ["scaling", "--n", "6"], "scaling.csv"
     elif which.startswith("otoc"):
-        # 64 -> 2 unitary channel: block GEMMs of 64 columns; 600 states
-        # make two all-pairs chunks
+        # 64 -> 2 unitary channel: block GEMMs of 64 columns; with 600
+        # states the all-pairs trace takes the 64-square product
         channel, a = tmp_path / "unitary.json", tmp_path / "a.json"
         save_channel(UnitaryChannel(haar_unitary(64, 7), d_b=2), str(channel))
         a.write_text(mat_json(random_hermitian(np.random.default_rng(8), 64)))

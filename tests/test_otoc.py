@@ -128,7 +128,7 @@ def test_all_pairs_estimate():
     assert np.isnan(allp.sigma_n) and np.isnan(allp.empirical_sigma)
     # the U-statistic reuses every overlap; same data, tighter value
     assert abs(allp.estimate - want) <= 4 * disjoint.sigma_n
-    # chunking is an implementation detail: a tiny ensemble fits one chunk
+    # a tiny ensemble against the pair sum written out
     small = dual_ensemble(spec.channel, 3, master_seed=54)
     rep = otoc_estimate(spec, small, pairing="all")
     o = np.kron(spec.b.T, spec.a)
@@ -177,9 +177,10 @@ def test_estimate_input_checks():
 def _block_case(name):
     """(spec, ensemble) for one block-reading case: the ensemble's channel
     is the spec's, except for the dilated case, which samples a 12 -> 3
-    Kraus channel through a nu = 5 dilation of the same dimensions."""
+    Kraus channel through a nu = 5 dilation of the same dimensions. The
+    64/2 cases span N < d_a (41), N = d_a and N = 2; the rest have N > d_a."""
     rng = np.random.default_rng(60)
-    if name == "64/2":
+    if name.startswith("64/2"):
         spec = OtocSpec(random_unitary_channel(64, 2, rng), random_hermitian(rng, 64), proj0(2))
     elif name == "8/1":
         spec = OtocSpec(random_unitary_channel(8, 1, rng), random_hermitian(rng, 8), np.eye(1))
@@ -190,10 +191,11 @@ def _block_case(name):
         assert ch.ancilla_dim > 1
     else:
         ch = spec.channel
-    return spec, dual_ensemble(ch, 41, master_seed=61)
+    n = {"64/2 N=d_a": 64, "64/2 N=2": 2}.get(name, 41)
+    return spec, dual_ensemble(ch, n, master_seed=61)
 
 
-@pytest.mark.parametrize("name", ["64/2", "8/1", "12/3 m=2", "12/3 dilated"])
+@pytest.mark.parametrize("name", ["64/2", "64/2 N=d_a", "64/2 N=2", "8/1", "12/3 m=2", "12/3 dilated"])
 def test_block_reading_matches_dense_oracle(name):
     spec, ens = _block_case(name)
     disjoint = otoc_estimate(spec, ens)
@@ -203,13 +205,34 @@ def test_block_reading_matches_dense_oracle(name):
     vals = otoc_overlaps_oracle(spec, ens)
     n = ens.n_samples
     pairs = vals[np.arange(0, n - 1, 2), np.arange(1, n, 2)]
-    assert disjoint.n_samples == pairs.size == 20
+    assert disjoint.n_samples == pairs.size == n // 2
     assert np.isclose(disjoint.estimate, pairs.mean(), rtol=1e-12, atol=0)
-    assert np.isclose(disjoint.empirical_sigma, pairs.std(ddof=1), rtol=1e-12, atol=0)
-    assert np.isclose(disjoint.sigma_n, pairs.std(ddof=1) / np.sqrt(20), rtol=1e-12, atol=0)
+    if pairs.size > 1:
+        assert np.isclose(disjoint.empirical_sigma, pairs.std(ddof=1), rtol=1e-12, atol=0)
+        assert np.isclose(disjoint.sigma_n, pairs.std(ddof=1) / np.sqrt(pairs.size), rtol=1e-12, atol=0)
+    else:
+        assert np.isnan(disjoint.empirical_sigma) and np.isnan(disjoint.sigma_n)
     want_all = (vals.sum() - np.trace(vals)) / (n * (n - 1))
+    assert allp.n_samples == n * (n - 1) // 2
     assert np.isclose(allp.estimate, want_all, rtol=1e-12, atol=0)
     assert np.isclose(otoc_exact(spec), otoc_exact_oracle(spec), rtol=1e-12, atol=0)
+
+
+def test_all_pairs_holds_no_pair_table():
+    # 4 -> 2 unitary channel, N = 8000: the 8000 x 8000 overlap table would
+    # take 1 GB; the trace holds the N x d_a blocks, A s^T and a d_a-square
+    # product, 1 MB in all
+    rng = np.random.default_rng(64)
+    spec = OtocSpec(random_unitary_channel(4, 2, rng), random_hermitian(rng, 4), proj0(2))
+    ens = dual_ensemble(spec.channel, 8000, master_seed=65)
+    tracemalloc.start()
+    try:
+        rep = otoc_estimate(spec, ens, pairing="all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert rep.n_samples == 8000 * 7999 // 2
 
 
 def test_otoc_estimate_never_forms_rows():

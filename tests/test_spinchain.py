@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from randual import spinchain
-from randual.channels import UnitaryChannel
+from randual.channels import DilatedChannel, UnitaryChannel, validate_channel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual
 from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
@@ -13,7 +13,7 @@ from randual.spinchain import (
     thermalization_experiment,
 )
 
-from helpers import thermalization_dense_oracle
+from helpers import partial_trace, thermalization_dense_oracle
 
 THERMALIZE_KEYS = {"time", "exact", "estimate", "sigma_n", "bound"}
 DISTANCE_KEYS = {"N", "trial", "hs_distance", "trace_distance", "bound"}
@@ -205,11 +205,44 @@ def test_distance_scaling_validation():
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 5, 1, 1.0, [10], 1, 0)
     with pytest.raises(ValueError):
+        distance_scaling_experiment(4, -1, 1, 1.0, [10], 1, 0)
+    with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 1, 1.0, [10], 0, 0)
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 1, 1.0, [], 1, 0)
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 1, 1.0, [0], 1, 0)
+
+
+def _reduced_state(n, n_b, t):
+    """rho_S(t) of the first n_b spins of the z-polarized chain."""
+    psi = unitary_evolution(ising_hamiltonian(n, 1.05, 0.5), t) @ polarized_state(n, "z")
+    return partial_trace(np.outer(psi, psi.conj()), (2**n_b, 2 ** (n - n_b)), [0])
+
+
+def test_compression_channel_dual_is_the_reduced_state_transposed():
+    # n_a = 0: the chain channel has a one-dimensional input and prepares
+    # rho_S(t); its exact dual is rho_S(t)^T
+    u = unitary_evolution(ising_hamiltonian(6, 1.05, 0.5), 1.0)
+    ch = DilatedChannel(u, d_a=1, d_b=4)
+    assert validate_channel(ch).is_valid
+    assert np.allclose(exact_dual(ch), _reduced_state(6, 2, 1.0).T, atol=1e-13, rtol=0)
+
+
+def test_compression_distance_matches_its_prediction():
+    # N E[HS^2] = m (1 + p) / (m + 1) - p for Haar draws on the m = 2^(n - n_b)
+    # dimensional environment, p = tr rho_S^2: the trial mean of N HS^2 over
+    # 300 trials must land within 3 of its standard errors
+    n, n_b, n_samples, trials = 6, 2, 16, 300
+    rows = distance_scaling_experiment(
+        n=n, n_a=0, n_b=n_b, t=1.0, n_values=[n_samples], trials=trials, seed=0
+    )
+    assert len(rows) == trials
+    x = n_samples * np.array([r["hs_distance"] for r in rows]) ** 2
+    rho = _reduced_state(n, n_b, 1.0)
+    p, m = np.trace(rho @ rho).real, 2 ** (n - n_b)
+    want = m * (1 + p) / (m + 1) - p
+    assert abs(x.mean() - want) <= 3 * x.std(ddof=1) / np.sqrt(trials)
 
 
 def test_mean_squared_distance_chain_channel():

@@ -191,15 +191,15 @@ def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
 def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
     """Elements of the arrays a channel command holds, for the budget.
 
-    Validation copies the Kraus stack (its SVD and d_a x d_a Gram fit
-    inside) and forms U^dag U for a channel that carries a unitary. n_rows
-    samples are drawn on the dilation's environment, after a Kraus channel
-    builds its dilation unitary. formed names what the command builds from
-    the draws: state_rows, row_blocks (block m of every row) or exact_dual.
+    Validation copies a Kraus stack (its SVD fits inside) and forms its
+    d_a x d_a Gram, or U^dag U for a channel that carries a unitary. Sampling
+    dilates a Kraus channel and draws n_rows vectors on the environment;
+    formed names what the command builds from them: state_rows, row_blocks
+    (block m of every row) or exact_dual.
     """
     d_u, d = dilation_dim(ch), ch.d_b * ch.d_a
     kraus = isinstance(ch, KrausChannel)
-    elements = {"kraus_stack": ch.operators.size} if kraus else {}
+    elements = {"kraus_stack": ch.operators.size, "kraus_gram": ch.d_a * ch.d_a} if kraus else {}
     if n_rows or not kraus:
         elements["unitary"] = d_u * d_u
     if n_rows:

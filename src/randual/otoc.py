@@ -104,9 +104,11 @@ def otoc_estimate(
         q = np.einsum("ki,ki->k", x, t)
         total = np.einsum("ij,ji->", p, p).real - np.vdot(q, q).real
         # symmetric in (k, k'): the ordered sum counts each of the pairs twice
-        nan = float("nan")
         return EstimatorReport(
-            estimate=float(d_a**2 * total / (n * (n - 1))), empirical_sigma=nan,
-            analytic_sigma_bound=None, sigma_n=nan, n_samples=n * (n - 1) // 2,
+            estimate=float(d_a**2 * total / (n * (n - 1))),
+            empirical_sigma=float("nan"),
+            analytic_sigma_bound=None,
+            sigma_n=float("nan"),
+            n_samples=n * (n - 1) // 2,
         )
     raise ValueError(f"unknown pairing {pairing!r}; use 'disjoint' or 'all'")

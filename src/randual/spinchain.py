@@ -153,10 +153,8 @@ def distance_scaling_experiment(
     rho_S(t) of the z-polarized chain, the exact dual is rho_S(t)^T, and N
     samples compress it. Rows and seeding are those of dual.distance_table.
     """
-    if not 1 <= n_b <= n:
-        raise ValueError(f"need 1 <= n_b <= n, got n_b={n_b}, n={n}")
-    if not 0 <= n_a <= n:
-        raise ValueError(f"need 0 <= n_a <= n, got n_a={n_a}, n={n}")
+    if not (0 <= n_a <= n and 1 <= n_b <= n):
+        raise ValueError(f"need 0 <= n_a <= n and 1 <= n_b <= n, got n_a={n_a}, n_b={n_b}, n={n}")
     ham = ising_hamiltonian(n, g, h)
     u = unitary_evolution(ham, t)
     if n_a == n:

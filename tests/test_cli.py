@@ -307,7 +307,8 @@ def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):
 
 def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
     # 8000 states: the N x d_a row blocks are the largest array priced, and
-    # the all-pairs trace holds nothing wider than them
+    # the all-pairs trace holds nothing wider than them; the 8000 x 8000
+    # overlap table it never forms would take 1 GB
     unitary = tmp_path / "unitary.json"
     save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
     priced = {}
@@ -328,7 +329,7 @@ def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert code == 0
     assert priced == {"unitary": 16, "haar_draws": 8000 * 2, "row_blocks": 8000 * 4}
-    assert peak <= 16 * sum(priced.values()) + 8 * 2**20
+    assert peak <= 16 * sum(priced.values()) + 3 * 2**20
 
 
 def test_otoc_rejects_nonprojector_b(scrambler, tmp_path):
@@ -512,15 +513,19 @@ def no_allocation(monkeypatch):
         ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
          SIGMA_Z_JSON, "--n-samples", "100000000"],
         ["dual-distance", "{isometry}"],
+        ["inspect", "{row}"],
     ],
     ids=["13-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
-         "128x64-isometry"],
+         "128x64-isometry", "1x8192-kraus-row"],
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
     isometry = tmp_path / "isometry.json"
     # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 exact dual
     save_channel(KrausChannel(np.eye(128, 64)[np.newaxis]), str(isometry))
-    argv = [a.format(depol=depol_file, isometry=isometry) for a in argv]
+    # one 1 x 8192 operator: a 128 KiB stack, but validation's Gram is 8192^2
+    row = tmp_path / "row.json"
+    save_channel(KrausChannel(np.ones((1, 1, 8192))), str(row))
+    argv = [a.format(depol=depol_file, isometry=isometry, row=row) for a in argv]
     assert cli.main(argv + ["--output-dir", str(tmp_path / "out")]) == 3
     assert "resource cap" in capsys.readouterr().err
 
@@ -584,14 +589,14 @@ def test_budget_boundary_and_force():
     # 4096 rows of d_b * d_a = 4096 entries, each exactly MAX_UNFORCED_BYTES
     ch = KrausChannel(np.zeros((64, 64, 64)))
     elements = cli._channel_elements(ch, 4096, "state_rows")
-    assert elements == {"kraus_stack": 64**3, "unitary": 4096**2, "haar_draws": 4096 * 64,
-                        "state_rows": 4096 * 64 * 64}  # fmt: skip
+    assert elements == {"kraus_stack": 64**3, "kraus_gram": 64**2, "unitary": 4096**2,
+                        "haar_draws": 4096 * 64, "state_rows": 4096 * 64 * 64}  # fmt: skip
     cli._check_budget(False, **elements)
     with pytest.raises(cli.ResourceCapError, match="state rows"):
         cli._check_budget(False, **cli._channel_elements(ch, 4097, "state_rows"))
-    # validation alone: a Kraus channel copies its stack, a unitary-carrying
-    # one forms U^dag U; no dilation is built
-    assert cli._channel_elements(ch) == {"kraus_stack": 64**3}
+    # validation alone: a Kraus channel copies its stack and forms its Gram,
+    # a unitary-carrying one forms U^dag U; no dilation is built
+    assert cli._channel_elements(ch) == {"kraus_stack": 64**3, "kraus_gram": 64**2}
     assert cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2)) == {"unitary": 64}
     # otoc's blocks are d_a wide; dual-distance adds the (d_b * d_a)^2 exact dual
     blocks = cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks", "exact_dual")
@@ -658,6 +663,8 @@ def _unbuilt(cls, name, shape, **fields):
     [
         # 4097 x 64 x 64 operators: the stack validation copies is 2^24 + 4096 elements
         (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (4097, 64, 64)), "kraus stack"),
+        # one 1 x 4097 operator: its d_a x d_a Gram is one row past the budget
+        (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (1, 1, 4097)), "kraus gram"),
         (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1), "unitary"),
         # 2049 rows of 32 x 256 entries: one row past the budget
         (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2049"],
@@ -666,7 +673,7 @@ def _unbuilt(cls, name, shape, **fields):
         (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
          _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16), "row blocks"),
     ],
-    ids=["inspect-kraus", "inspect-unitary", "estimate", "otoc"],
+    ids=["inspect-kraus", "inspect-kraus-gram", "inspect-unitary", "estimate", "otoc"],
 )  # fmt: skip
 def test_channel_commands_refuse_one_past_their_largest_entry(
     argv, channel, entry, priced_inputs, no_allocation, monkeypatch, tmp_path, capsys

@@ -218,23 +218,6 @@ def test_block_reading_matches_dense_oracle(name):
     assert np.isclose(otoc_exact(spec), otoc_exact_oracle(spec), rtol=1e-12, atol=0)
 
 
-def test_all_pairs_holds_no_pair_table():
-    # 4 -> 2 unitary channel, N = 8000: the 8000 x 8000 overlap table would
-    # take 1 GB; the trace holds the N x d_a blocks, A s^T and a d_a-square
-    # product, 1 MB in all
-    rng = np.random.default_rng(64)
-    spec = OtocSpec(random_unitary_channel(4, 2, rng), random_hermitian(rng, 4), proj0(2))
-    ens = dual_ensemble(spec.channel, 8000, master_seed=65)
-    tracemalloc.start()
-    try:
-        rep = otoc_estimate(spec, ens, pairing="all")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-    assert rep.n_samples == 8000 * 7999 // 2
-
-
 def test_otoc_estimate_never_forms_rows():
     # 64 -> 4 unitary channel, N = 2000: the rows would take 8.2 MB; the
     # block of each row the overlaps read is a quarter of that

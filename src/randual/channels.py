@@ -15,6 +15,7 @@ supported:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,8 +310,10 @@ def channel_to_dict(ch: Channel) -> dict:
 def channel_from_dict(spec: dict) -> Channel:
     try:
         kind = spec["kind"]
-        d_a = int(spec["d_a"])
-        d_b = int(spec["d_b"])
+        d_a = spec["d_a"]
+        d_b = spec["d_b"]
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in (d_a, d_b)):
+            raise ValueError(f"d_a and d_b must be integers, got {d_a!r} and {d_b!r}")
         matrices = [_matrix_from_json(m) for m in spec["matrices"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel spec: {exc}") from exc

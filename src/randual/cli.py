@@ -271,7 +271,7 @@ def _finite_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     ch = _load_channel(args.channel)
     _check_budget(args.force, **_channel_elements(ch))
@@ -281,10 +281,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.output_dir is not None:
         _write_result(args, t0, "report.json", report)
     _require_valid(diag)
-    return EXIT_OK
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     # rows for the dense A; the variance bound's d_a x d_a products fit in the unitary
     ch, a, b = _channel_inputs(args, args.n_samples, "state_rows")
@@ -292,19 +291,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rep = estimate_observable(ens, a, b)
     path = _write_result(args, t0, "estimate.json", asdict(rep))
     print(f"estimate {_fmt(rep.estimate)} +- {_fmt(rep.sigma_n)} -> {path}")
-    return EXIT_OK
 
 
-def cmd_dual_distance(args: argparse.Namespace) -> int:
+def cmd_dual_distance(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     (ch,) = _channel_inputs(args, max(args.n_values), "state_rows", "exact_dual")
     rows = distance_table(ch, args.n_values, args.trials, args.seed)
     path = _write_result(args, t0, "distances.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")
-    return EXIT_OK
 
 
-def cmd_otoc(args: argparse.Namespace) -> int:
+def cmd_otoc(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     n = 2 * args.pairs
     # the all-pairs A s^T and min(N, d_a)-square product fit in the row blocks
@@ -323,10 +320,9 @@ def cmd_otoc(args: argparse.Namespace) -> int:
     }
     path = _write_result(args, t0, "otoc.json", out)
     print(f"otoc estimate {_fmt(out['estimate'])} (exact {_fmt(out['exact'])}) -> {path}")
-    return EXIT_OK
 
 
-def cmd_thermalize(args: argparse.Namespace) -> int:
+def cmd_thermalize(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     if args.t_step <= 0 or args.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
@@ -350,10 +346,9 @@ def cmd_thermalize(args: argparse.Namespace) -> int:
     )
     path = _write_result(args, t0, "thermalize.csv", rows, THERMALIZE_COLUMNS)
     print(f"{len(rows)} time points -> {path}")
-    return EXIT_OK
 
 
-def cmd_scaling(args: argparse.Namespace) -> int:
+def cmd_scaling(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     n_a = args.n if args.na is None else args.na
     # the split sets the sizes, so it is checked before they are priced
@@ -378,7 +373,6 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     )
     path = _write_result(args, t0, "scaling.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -484,3 +478,4 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationFailure, ValueError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK

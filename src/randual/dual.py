@@ -59,7 +59,7 @@ from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
 # A^2 = A and tr A = 1 (for a vector, ||v||^2 = 1) are enforced to this
-# tolerance in rank1_variance_bound.
+# tolerance in rank1_variance_bound, and on the OTOC's B.
 PROJECTOR_ATOL = 1e-10
 
 KIND_UNITARY = "unitary_induced"
@@ -260,6 +260,12 @@ def _observables(a: np.ndarray, b: np.ndarray, d_a: int, d_b: int) -> tuple[np.n
     return a, b
 
 
+def _check_projector(p: np.ndarray, name: str) -> None:
+    """Raise ValueError unless P^2 = P and tr P = 1 within PROJECTOR_ATOL."""
+    if np.abs(p @ p - p).max() > PROJECTOR_ATOL or abs(np.trace(p) - 1.0) > PROJECTOR_ATOL:
+        raise ValueError(f"{name} must be a rank-1 projector ({name}^2 = {name}, tr {name} = 1)")
+
+
 def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample estimates x_k = d_a <Psi_k|(B^t (x) A)|Psi_k>, as reals.
 
@@ -366,22 +372,21 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
     For this observable class the single-sample variance never exceeds the
     squared mean mu_1 = tr[X(A) B], so N samples reach precision
     |mu_1| / sqrt(N) regardless of dimensions. A is a projector matrix or a
-    unit vector v meaning A = |v><v|; mu_1 is sum_k <K_k v|B|K_k v> (for the
-    matrix, sum_k tr[K_k A K_k^dag B]) over the operators kraus_operators(ch).
+    unit vector v meaning A = |v><v|, a matrix read as its vector
+    A[:, j] / sqrt(A_jj) (j its largest diagonal entry; v up to a phase);
+    mu_1 is sum_k <K_k v|B|K_k v> over the operators kraus_operators(ch).
     """
     a, b = _observables(a, b, ch.d_a, ch.d_b)
     if np.linalg.eigvalsh(b)[0] < -PROJECTOR_ATOL:
         raise ValueError("B must be positive semidefinite")
-    ops = kraus_operators(ch)
-    if a.ndim == 1:
-        if abs(np.vdot(a, a).real - 1.0) > PROJECTOR_ATOL:
-            raise ValueError("A vector must have unit norm (tr |v><v| = 1)")
-        kv = ops @ a
-        mu1 = np.einsum("km,kn,mn->", kv.conj(), kv, b, optimize=True)
-    else:
-        if np.abs(a @ a - a).max() > PROJECTOR_ATOL or abs(np.trace(a) - 1.0) > PROJECTOR_ATOL:
-            raise ValueError("A must be a rank-1 projector (A^2 = A, tr A = 1)")
-        mu1 = np.einsum("kmi,ij,knj,nm->", ops, a, ops.conj(), b, optimize=True)
+    if a.ndim == 2:
+        _check_projector(a, "A")
+        j = int(np.argmax(np.diag(a).real))
+        a = a[:, j] / np.sqrt(a[j, j].real)
+    elif abs(np.vdot(a, a).real - 1.0) > PROJECTOR_ATOL:
+        raise ValueError("A vector must have unit norm (tr |v><v| = 1)")
+    kv = kraus_operators(ch) @ a
+    mu1 = np.einsum("km,kn,mn->", kv.conj(), kv, b, optimize=True)
     return float(mu1.real) ** 2
 
 
@@ -397,7 +402,7 @@ def distance_report(ens: DualStateEnsemble) -> DistanceReport:
     formed directly.
     """
     w = exact_dual_factor(ens.channel)
-    return _distance_report(ens, w, lambda: w @ w.conj().T)
+    return _distance_report(ens, w, lambda: exact_dual(ens.channel))
 
 
 def _distance_report(ens: DualStateEnsemble, w: np.ndarray, exact) -> DistanceReport:
@@ -439,7 +444,7 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
     factor = exact_dual_factor(ch)
-    exact = functools.cache(lambda: factor @ factor.conj().T)
+    exact = functools.cache(lambda: exact_dual(ch))
     rows = []
     for i, n_samples in enumerate(n_values):
         for trial in range(trials):

@@ -18,16 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import UnitaryChannel
-from .dual import PROJECTOR_ATOL, DualStateEnsemble, EstimatorReport, _mean_report, _row_block
-from .linalg import assert_hermitian
+from .dual import (
+    PROJECTOR_ATOL,
+    DualStateEnsemble,
+    EstimatorReport,
+    _check_projector,
+    _mean_report,
+    _observables,
+    _row_block,
+)
 
 
 @dataclass(frozen=True)
 class OtocSpec:
     """Correlator specification: channel, input observable A, output B.
 
-    B must be a rank-1 projector |m><m| diagonal in the computational basis;
-    its basis index is kept as m.
+    A and B pass the estimators' observable checks, A as a matrix; B must be
+    a rank-1 projector |m><m| diagonal in the computational basis, kept as m.
     """
 
     channel: UnitaryChannel
@@ -38,19 +45,13 @@ class OtocSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.channel, UnitaryChannel):
             raise TypeError("OtocSpec needs a unitary-induced channel")
-        a = np.asarray(self.a, dtype=complex)
-        b = np.asarray(self.b, dtype=complex)
-        if a.shape != (self.channel.d_a,) * 2:
-            raise ValueError(f"A shape {a.shape} does not match d_a={self.channel.d_a}")
-        if b.shape != (self.channel.d_b,) * 2:
-            raise ValueError(f"B shape {b.shape} does not match d_b={self.channel.d_b}")
-        assert_hermitian(a, name="A")
-        assert_hermitian(b, name="B")
+        a, b = _observables(self.a, self.b, self.channel.d_a, self.channel.d_b)
+        if a.ndim != 2:
+            raise ValueError("OTOC A must be a matrix")
         off = b - np.diag(np.diag(b))
         if np.abs(off).max() > PROJECTOR_ATOL:
             raise ValueError("projector B must be diagonal in the computational basis")
-        if np.abs(b @ b - b).max() > PROJECTOR_ATOL or abs(np.trace(b) - 1.0) > PROJECTOR_ATOL:
-            raise ValueError("projector B must satisfy B^2 = B and tr B = 1")
+        _check_projector(b, "B")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", int(np.argmax(np.diag(b).real)))

@@ -10,13 +10,13 @@ in which order, so ensembles can be generated in parallel and still
 reproduce bit for bit. The construction is pinned to numpy >= 1.26, whose
 Generator streams are covered by the numpy stream compatibility policy.
 
-The key is SeedSequence's hash computed in-house. Its hash constants never
-depend on the data, so the pool state after the master-seed words is
-computed once per master seed and the keys of 4096 consecutive indices in
-one vectorized uint32 pass; no SeedSequence object is built per sample. The
-Philox behind SeedSpec.rng() therefore holds only its key as seed_seq, and
-spawning from it is unsupported. child_seed, which runs a handful of times
-per command, stays on numpy's SeedSequence.
+The master-seed pool is numpy's SeedSequence(master_seed).pool, read once
+per master seed; only the index words are mixed in-house, for the keys of
+4096 consecutive indices in one vectorized uint32 pass, so no SeedSequence
+object is built per sample. The Philox behind SeedSpec.rng() therefore
+holds only its key as seed_seq, and spawning from it is unsupported.
+child_seed, which runs a handful of times per command, stays on numpy's
+SeedSequence.
 """
 from __future__ import annotations
 
@@ -79,32 +79,23 @@ def _hashmix(value, const: int, mult: int = _MULT_A):
     return value ^ (value >> 16), const
 
 
-def _absorb(pool: list, const: int, word, skip: int = -1) -> int:
-    """Mix hashmix(word) into every pool word but pool[skip]; returns the
-    next hash constant."""
+def _absorb(pool: list, const: int, word) -> int:
+    """Mix hashmix(word) into every pool word; returns the next hash constant."""
     for i in range(_POOL):
-        if i != skip:
-            h, const = _hashmix(word, const)
-            mixed = (_MIX_L * pool[i] - _MIX_R * h) & _MASK32
-            pool[i] = mixed ^ (mixed >> 16)
+        h, const = _hashmix(word, const)
+        mixed = (_MIX_L * pool[i] - _MIX_R * h) & _MASK32
+        pool[i] = mixed ^ (mixed >> 16)
     return const
 
 
 @functools.lru_cache(maxsize=8)
 def _master_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence pool and hash constant after the master-seed words,
-    zero-padded to the pool size as they are when a spawn key follows."""
-    words = _words(master_seed)
-    words += [0] * (_POOL - len(words))
-    pool, const = [], _INIT_A
-    for w in words[:_POOL]:
-        h, const = _hashmix(w, const)
-        pool.append(h)
-    for src in range(_POOL):
-        const = _absorb(pool, const, pool[src], skip=src)
-    for w in words[_POOL:]:
-        const = _absorb(pool, const, w)
-    return tuple(pool), const
+    """numpy's SeedSequence(master_seed).pool, into which a spawn key is
+    mixed, and the hash constant after it: _INIT_A times _MULT_A once per
+    hashmix, of which n master-seed words take 4 max(n, 4)."""
+    pool = tuple(int(w) for w in np.random.SeedSequence(master_seed).pool)
+    n_hashes = _POOL * max(len(_words(master_seed)), _POOL)
+    return pool, _INIT_A * pow(_MULT_A, n_hashes, _MASK32 + 1) & _MASK32
 
 
 @functools.lru_cache(maxsize=2)

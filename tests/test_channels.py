@@ -285,6 +285,11 @@ def test_channel_from_dict_rejects_malformed():
         {**good, "d_a": 3},
         {**good, "matrices": [[[0.0], [1.0]]]},
         {k: v for k, v in good.items() if k != "kind"},
+        # dimensions are JSON integers: int() would accept each of these
+        {**good, "d_a": 2.0},
+        {**good, "d_b": 2.9},
+        {**good, "d_a": "2"},
+        {**good, "d_b": True, "matrices": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]]},
     ):
         with pytest.raises(ValueError):
             channel_from_dict(breakage)

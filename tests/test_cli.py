@@ -462,6 +462,12 @@ def test_usage_errors(tmp_path):
     negative_seed = ["thermalize", "--n", "3", "--pol", "z", "--seed", "-1"]
     nan_channel = tmp_path / "nan.json"
     nan_channel.write_text('{"kind": "kraus", "d_a": 1, "d_b": 1, "matrices": [[[[NaN, 0.0]]]]}')
+    # int() would read d_b = 1.7 as 1, a valid split of this 2 x 2 unitary
+    float_dims = tmp_path / "float_dims.json"
+    float_dims.write_text(
+        '{"kind": "unitary_induced", "d_a": 2.0, "d_b": 1.7,'
+        ' "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}'
+    )
     for args in (
         [],
         ["frobnicate"],
@@ -470,6 +476,7 @@ def test_usage_errors(tmp_path):
         ["thermalize", "--n", "3", "--pol", "z", "--t-step", "nan"],
         ["thermalize", "--n", "3", "--pol", "z", "--h", "inf", "--t-max", "0.5"],
         ["inspect", str(nan_channel)],
+        ["inspect", str(float_dims)],
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, (args, res.stderr)

@@ -696,3 +696,20 @@ def test_postselected_rows_bits_match_full_dilation_product(kind, n):
     want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psis)
     assert dil.ancilla_dim > 1
     assert np.array_equal(dual_ensemble(ch, n, master_seed=47).states, want)
+
+
+@pytest.mark.parametrize("kind", ["unitary 64/4", "kraus 12->3 r=5", "dilated 32 d_a=8 d_b=4"])
+def test_rows_are_the_exact_dual_factor_applied_to_the_draws(kind):
+    # row k = sqrt(d_env) W draws[k, :r] for W = exact_dual_factor(ch); a
+    # Kraus draw longer than W (d_env = 20 > r = 5) carries padding entries
+    # that no row reads
+    rng = np.random.default_rng(51)
+    ch, r, d_env = {
+        "unitary 64/4": lambda: (random_unitary_channel(64, 4, rng), 16, 16),
+        "kraus 12->3 r=5": lambda: (random_kraus_channel(rng, 12, 3, 5), 5, 20),
+        "dilated 32 d_a=8 d_b=4": lambda: (DilatedChannel(haar_unitary(32, rng), d_a=8, d_b=4), 8, 8),
+    }[kind]()
+    ens = dual_ensemble(ch, 30, master_seed=52)
+    w = exact_dual_factor(ch)
+    assert w.shape[1] == r and ens.draws.shape[1] == d_env
+    assert _rel_err(ens.states, np.sqrt(d_env) * ens.draws[:, :r] @ w.T) <= 1e-12

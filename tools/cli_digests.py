@@ -1,0 +1,57 @@
+"""Digests of the CLI result files at one seed, to show a refactor kept them.
+
+    python3 tools/cli_digests.py SEED
+
+Builds the inputs of the benchmark's `quench` and `distance` workloads for
+SEED (bench/workloads.py, read only) in a temporary directory, runs every
+workload command there, plus an all-pairs `otoc` (500 pairs, seed 5) and
+`inspect` of the Kraus and the unitary input, each as `python -m randual`
+from this checkout's src with RANDUAL_THREADS=1 and the BLAS thread
+variables unset. Prints one `name sha256[:16]` line per result file; two
+checkouts print the same lines exactly when their result files are
+byte-identical.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run(name: str, argv: list[str], result: Path) -> None:
+    subprocess.run([sys.executable, "-m", "randual", *argv], check=True, stdout=subprocess.DEVNULL)
+    print(name, hashlib.sha256(result.read_bytes()).hexdigest()[:16])
+
+
+def main(seed: int) -> None:
+    # set before numpy loads, so the inputs are built on one BLAS thread too
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.pop(var, None)
+    os.environ.update(RANDUAL_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files beside the bench modules
+    import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name in ("quench", "distance"):
+            for cmd in workloads.build(name, seed, work).commands:
+                run(cmd.name, cmd.argv, cmd.outdir / cmd.result_file)
+        out = work / "otoc-all"
+        argv = [
+            "otoc", str(work / "unitary.json"),
+            "--observable-a", str(work / "otoc_a.json"), "--observable-b", str(work / "otoc_b.json"),
+            "--pairing", "all", "--pairs", "500", "--seed", "5", "--output-dir", str(out),
+        ]  # fmt: skip
+        run("otoc-all", argv, out / "otoc.json")
+        for name, spec in (("inspect-kraus", "kraus.json"), ("inspect-unitary", "unitary.json")):
+            run(name, ["inspect", str(work / spec), "--output-dir", str(work / name)], work / name / "report.json")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]))

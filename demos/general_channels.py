@@ -32,7 +32,7 @@ def main():
 
     dil = stinespring_dilate(ch)
     print(f"dilation: {dil.d_u} x {dil.d_u} unitary, ancilla {dil.ancilla_dim}, "
-          f"environment {dil.env_dim}")
+          f"environment {dil.d_c}")
 
     exact = exact_dual(ch)
     print(f"\n{'N':>6} {'hs to exact dual':>17} {'1/sqrt(N)':>10} {'mean |Phi|^2':>13}")

@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 from . import channels, dual, linalg, otoc, rng, spinchain
 from .channels import (
     ChannelDiagnostics,
-    DilatedChannel,
     KrausChannel,
     UnitaryChannel,
     apply_channel,

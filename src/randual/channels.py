@@ -1,16 +1,17 @@
 """Quantum channel representations, dilation, validation and JSON specs.
 
 A channel X maps density matrices on a d_a-dimensional input space to
-density matrices on a d_b-dimensional output space. Three presentations are
+density matrices on a d_b-dimensional output space. Two presentations are
 supported:
 
 * KrausChannel: operators M_k (each d_b x d_a) with sum_k M_k^dag M_k = I.
-* UnitaryChannel: X(rho) = tr_c[U rho U^dag] for a unitary U on the input
-  space viewed as (d_b, d_c) with the output factor slowest; d_b * d_c = d_a.
-* DilatedChannel: X(rho) = tr_env[U (rho (x) |0><0|) U^dag] for a unitary U
-  on input (x) ancilla, the ancilla prepared in the first basis vector. The
-  same space is read as (d_b, d_env) with the output factor slowest when the
-  environment is traced out.
+* UnitaryChannel: X(rho) = tr_c[U (rho (x) |0><0|) U^dag] for a unitary U
+  on input (x) ancilla, the ancilla prepared in its first basis vector and
+  the same space read as (d_b, d_c) with the output factor slowest when the
+  traced factor c is traced out. d_a defaults to U's dimension, a
+  one-dimensional ancilla: the channel U induces on its own space, which
+  kind_of calls unitary_induced. A larger ancilla makes it dilated, and
+  stinespring_dilate turns any KrausChannel into one.
 """
 from __future__ import annotations
 
@@ -55,47 +56,24 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class UnitaryChannel:
-    """Channel induced by a unitary on the input space, tracing down to the
-    slowest factor of the (d_b, d_c) layout."""
+    """Channel carried by a unitary on input (x) ancilla, tracing down to the
+    slowest factor of the (d_b, d_c) layout; d_a defaults to the unitary's
+    dimension, which makes the ancilla one-dimensional."""
 
     unitary: np.ndarray
     d_b: int
+    d_a: int | None = None
 
     def __post_init__(self) -> None:
         u = _as_complex(self.unitary)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise ValueError("unitary must be square")
-        if self.d_b < 1 or u.shape[0] % self.d_b != 0:
-            raise ValueError(f"d_b={self.d_b} must divide the unitary dimension {u.shape[0]}")
+        d_a = u.shape[0] if self.d_a is None else self.d_a
+        for name, d in (("d_a", d_a), ("d_b", self.d_b)):
+            if d < 1 or u.shape[0] % d != 0:
+                raise ValueError(f"{name}={d} must divide the unitary dimension {u.shape[0]}")
         object.__setattr__(self, "unitary", u)
-
-    @property
-    def d_a(self) -> int:
-        return self.unitary.shape[0]
-
-    @property
-    def d_c(self) -> int:
-        return self.d_a // self.d_b
-
-
-@dataclass(frozen=True)
-class DilatedChannel:
-    """Channel given by a unitary dilation on input (x) ancilla."""
-
-    unitary: np.ndarray
-    d_a: int
-    d_b: int
-
-    def __post_init__(self) -> None:
-        u = _as_complex(self.unitary)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError("unitary must be square")
-        d_u = u.shape[0]
-        if self.d_a < 1 or d_u % self.d_a != 0:
-            raise ValueError(f"d_a={self.d_a} must divide the dilation dimension {d_u}")
-        if self.d_b < 1 or d_u % self.d_b != 0:
-            raise ValueError(f"d_b={self.d_b} must divide the dilation dimension {d_u}")
-        object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "d_a", d_a)
 
     @property
     def d_u(self) -> int:
@@ -106,11 +84,11 @@ class DilatedChannel:
         return self.d_u // self.d_a
 
     @property
-    def env_dim(self) -> int:
+    def d_c(self) -> int:
         return self.d_u // self.d_b
 
 
-Channel = KrausChannel | UnitaryChannel | DilatedChannel
+Channel = KrausChannel | UnitaryChannel
 
 
 @dataclass(frozen=True)
@@ -136,28 +114,27 @@ class ChannelDiagnostics:
 
 
 def kind_of(ch: Channel) -> str:
+    """kraus, unitary_induced (a UnitaryChannel with a one-dimensional
+    ancilla) or dilated (any larger ancilla)."""
     if isinstance(ch, KrausChannel):
         return "kraus"
     if isinstance(ch, UnitaryChannel):
-        return "unitary_induced"
-    if isinstance(ch, DilatedChannel):
-        return "dilated"
+        return "unitary_induced" if ch.ancilla_dim == 1 else "dilated"
     raise TypeError(f"not a channel: {type(ch)!r}")
 
 
 def kraus_operators(ch: Channel) -> np.ndarray:
     """Operator-sum form of any channel variant, stacked as (r, d_b, d_a).
 
-    A DilatedChannel has M_e = (I (x) <e|) U (I (x) |0>), one per
-    environment basis vector (some may vanish). A UnitaryChannel is the
-    ancilla-1 case of it, with the operators M_c = (I (x) <c|) U.
+    A UnitaryChannel has M_c = (I (x) <c|) U (I (x) |0>), one per basis
+    vector of the traced factor (some may vanish); with a one-dimensional
+    ancilla they are the row blocks M_c = (I (x) <c|) U.
     """
     if isinstance(ch, KrausChannel):
         return ch.operators
-    if isinstance(ch, (UnitaryChannel, DilatedChannel)):
-        # U reshaped to (d_b, env, d_a, ancilla): row block (m, e), column (i, a).
-        d_u = ch.unitary.shape[0]
-        u4 = ch.unitary.reshape(ch.d_b, d_u // ch.d_b, ch.d_a, d_u // ch.d_a)
+    if isinstance(ch, UnitaryChannel):
+        # U reshaped to (d_b, d_c, d_a, ancilla): row block (m, c), column (i, a).
+        u4 = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a, ch.ancilla_dim)
         return u4[:, :, :, 0].transpose(1, 0, 2).copy()
     raise TypeError(f"not a channel: {type(ch)!r}")
 
@@ -173,7 +150,7 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
 
 
 def _dilation_ancilla(r: int, d_a: int, d_b: int) -> int:
-    # smallest ancilla >= r whose dilated space carries the (d_b, env) layout
+    # smallest ancilla >= r whose dilated space carries the (d_b, d_c) layout
     # with room for r orthogonal environment records; r * d_b always works
     nu = r
     while (d_a * nu) % d_b != 0 or (d_a * nu) // d_b < r:
@@ -190,42 +167,38 @@ def dilation_dim(ch: Channel) -> int:
     if isinstance(ch, KrausChannel):
         r, d_b, d_a = ch.operators.shape
         return d_a * _dilation_ancilla(r, d_a, d_b)
-    return ch.unitary.shape[0]  # unitary and dilated channels run on their own unitary
+    return ch.d_u  # a UnitaryChannel runs on its own unitary
 
 
-def stinespring_dilate(ch: Channel) -> DilatedChannel:
+def stinespring_dilate(ch: Channel) -> UnitaryChannel:
     """Unitary dilation of a channel with the ancilla in the first basis vector.
 
     For a KrausChannel with r operators the ancilla dimension is the smallest
-    nu >= r such that the dilated space d_a * nu carries the (d_b, env)
-    output layout, i.e. d_b divides d_a * nu and the environment can hold r
+    nu >= r such that the dilated space d_a * nu carries the (d_b, d_c)
+    output layout, i.e. d_b divides d_a * nu and the traced factor can hold r
     orthogonal records. Columns U(|j> (x) |0>) = sum_k (M_k |j>) (x) |k> fix
     the action; the remaining columns are an arbitrary orthonormal
-    completion, which does not affect the channel.
+    completion, which does not affect the channel. A UnitaryChannel is
+    returned unchanged.
     """
-    if isinstance(ch, DilatedChannel):
-        return ch
     if isinstance(ch, UnitaryChannel):
-        # already unitary: trivial ancilla of dimension 1
-        return DilatedChannel(ch.unitary, d_a=ch.d_a, d_b=ch.d_b)
+        return ch
     ops = ch.operators
     r, d_b, d_a = ops.shape
     nu = _dilation_ancilla(r, d_a, d_b)
     d_u = d_a * nu
-    d_env = d_u // d_b
-    cols = np.zeros((d_b, d_env, d_a), dtype=complex)
-    for k in range(r):
-        cols[:, k, :] += ops[k]
+    cols = np.zeros((d_b, d_u // d_b, d_a), dtype=complex)
+    cols[:, :r] = ops.transpose(1, 0, 2)  # operator k in environment slot k
     cols = cols.reshape(d_u, d_a)
     # cols already has orthonormal columns (trace preservation); QR is used
     # only for the orthogonal complement, the constructed columns go in as is.
     q = np.linalg.qr(cols, mode="complete")[0]
     complement = q[:, d_a:]
-    u = np.zeros((d_u, d_u), dtype=complex)
-    u[:, 0::nu] = cols  # input column j, ancilla |0>, at position j*nu
-    rest = [c for c in range(d_u) if c % nu != 0]
-    u[:, rest] = complement
-    return DilatedChannel(u, d_a=d_a, d_b=d_b)
+    # column (j, a) of U is input j with ancilla a: a = 0 holds cols, the rest the complement
+    u = np.empty((d_u, d_u), dtype=complex)
+    u.reshape(d_u, d_a, nu)[..., 0] = cols
+    u.reshape(d_u, d_a, nu)[..., 1:] = complement.reshape(d_u, d_a, nu - 1)
+    return UnitaryChannel(u, d_b=d_b, d_a=d_a)
 
 
 def validate_channel(ch: Channel) -> ChannelDiagnostics:
@@ -252,7 +225,7 @@ def validate_channel(ch: Channel) -> ChannelDiagnostics:
         else:
             w[:] = np.nan
         unit = None
-        if isinstance(ch, (UnitaryChannel, DilatedChannel)):
+        if isinstance(ch, UnitaryChannel):
             u = ch.unitary
             unit = hs_norm(u.conj().T @ u - np.eye(u.shape[0]))
     rank = int(np.sum(w > KRAUS_TOL_SCALE * d_a))
@@ -289,6 +262,9 @@ def _matrix_to_json(m: np.ndarray) -> list:
 def _matrix_from_json(rows: list) -> np.ndarray:
     try:
         arr = np.array([[complex(re, im) for re, im in row] for row in rows])
+        # complex() takes JSON's true and false as 1 and 0
+        if any(isinstance(x, bool) for row in rows for pair in row for x in pair):
+            raise ValueError("entries must be numbers, not true or false")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     if arr.ndim != 2:
@@ -331,7 +307,7 @@ def channel_from_dict(spec: dict) -> Channel:
     if kind == "dilated":
         if len(matrices) != 1:
             raise ValueError("dilated spec needs a single matrix")
-        return DilatedChannel(matrices[0], d_a=d_a, d_b=d_b)
+        return UnitaryChannel(matrices[0], d_b=d_b, d_a=d_a)
     raise ValueError(f"unknown channel kind {kind!r}")
 
 

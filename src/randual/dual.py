@@ -41,11 +41,13 @@ When N + r < d_b d_a, a QR of A leaves the nonzero eigenvalues as those of
 the (N + r)-square R D R^dag, O(d_b d_a (N + r)^2) work; otherwise the
 d x d difference is formed.
 
-dual_ensemble samples every channel kind. General channels go through a
-unitary dilation, whose samples projected onto the dilation ancilla's
-reference vector (with a compensating sqrt factor) are normalized only in
-expectation but average to the exact dual. Ensembles keep the Haar draws:
-rows are formed on first use; a rank-1 A and the OTOC read the draws.
+dual_ensemble samples every channel kind. A unitary on input (x) ancilla
+carries every channel: a UnitaryChannel holds one, and a KrausChannel is
+dilated to one by stinespring_dilate. When the ancilla is larger than one
+dimension, the samples projected onto its reference vector (with a
+compensating sqrt factor) are normalized only in expectation but average to
+the exact dual. Ensembles keep the Haar draws: rows are formed on first
+use; a rank-1 A and the OTOC read the draws.
 """
 from __future__ import annotations
 
@@ -54,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, UnitaryChannel, dilation_dim, kraus_operators, stinespring_dilate
+from .channels import Channel, KrausChannel, UnitaryChannel, dilation_dim, kind_of, kraus_operators, stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
@@ -71,16 +73,18 @@ class DualStateEnsemble:
     """Random dual states of a channel as their Haar draws on the traced
     factor, (N, d_env) with d_env = dilation_dim(channel) // d_b.
 
-    Construction takes the kept isometry columns off the channel; states,
-    the (N, d_b * d_a) rows, is formed on first access and kept. A
-    UnitaryChannel gives unitary_induced unit rows; any other channel, via
-    one stinespring_dilate, general_postselected rows, normalized in
-    expectation only. d_a, d_b and kind are read off the channel.
+    Construction takes the kept isometry columns off the channel's unitary,
+    which for a KrausChannel is one stinespring_dilate; states, the
+    (N, d_b * d_a) rows, is formed on first access and kept. A
+    unitary-induced channel gives unitary_induced unit rows; any other
+    channel general_postselected rows, normalized in expectation only. d_a,
+    d_b and kind are read off the channel.
     """
 
     draws: np.ndarray
     master_seed: int
     channel: Channel
+    kind: str = field(init=False)
     _cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -89,7 +93,8 @@ class DualStateEnsemble:
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] != d_env:
             raise ValueError(f"draws must be a nonempty (N, d_env = {d_env}) stack, got shape {p.shape}")
         object.__setattr__(self, "draws", p)
-        u = ch.unitary if isinstance(ch, UnitaryChannel) else stinespring_dilate(ch).unitary
+        object.__setattr__(self, "kind", KIND_UNITARY if kind_of(ch) == KIND_UNITARY else KIND_POSTSELECTED)
+        u = stinespring_dilate(ch).unitary if isinstance(ch, KrausChannel) else ch.unitary
         # The kept columns, (d_b, d_env, d_a), are copied contiguous (a no-op when
         # nu == 1) so matmul stays on BLAS and each row keeps the full product's bits.
         cols = u.reshape(ch.d_b, d_env, ch.d_a, self._nu)[..., 0]
@@ -104,15 +109,11 @@ class DualStateEnsemble:
         return self.channel.d_b
 
     @property
-    def kind(self) -> str:
-        return KIND_UNITARY if isinstance(self.channel, UnitaryChannel) else KIND_POSTSELECTED
-
-    @property
     def n_samples(self) -> int:
         return self.draws.shape[0]
 
     @property
-    def _nu(self) -> int:  # dilation ancilla dimension, 1 for a UnitaryChannel
+    def _nu(self) -> int:  # dilation ancilla dimension, 1 for a unitary-induced channel
         return self.draws.shape[1] * self.d_b // self.d_a
 
     @functools.cached_property
@@ -168,11 +169,11 @@ def dual_ensemble(ch: Channel, n_samples: int, master_seed: int) -> DualStateEns
 
     Sample k is the kept draw haar_state(d_env, SeedSpec(master_seed, k).rng()).
     A unitary-induced channel (d_env = d_c) gives unit rows. Any other
-    channel is dilated once, here: its rows keep the dilation ancilla's
-    reference component, scaled by sqrt(ancilla dim) so norms are 1 in
-    expectation, and only those dilation columns are ever multiplied. The
-    mean converges to exact_dual(ch). A trivial dilation (ancilla dim 1)
-    gives the rows of the unitary-induced channel it dilates, bitwise.
+    channel runs on a dilation, a KrausChannel's built once, here: its rows
+    keep the dilation ancilla's reference component, scaled by
+    sqrt(ancilla dim) so norms are 1 in expectation, and only those
+    dilation columns are ever multiplied. The mean converges to
+    exact_dual(ch).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -342,8 +343,8 @@ def variance_bound(ch: UnitaryChannel, a: np.ndarray, b: np.ndarray) -> float:
     1/d_a of the first (Cauchy-Schwarz), so nothing cancels catastrophically;
     the numerator is clamped at 0 against rounding when d_a = 1.
     """
-    if not isinstance(ch, UnitaryChannel):
-        raise TypeError(f"variance_bound needs a unitary-induced channel, got {type(ch).__name__}")
+    if kind_of(ch) != KIND_UNITARY:
+        raise TypeError(f"variance_bound needs a unitary-induced channel, got {kind_of(ch)}")
     a, b = _observables(a, b, ch.d_a, ch.d_b)
     d_a, u = ch.d_a, ch.unitary
     if a.ndim == 1:

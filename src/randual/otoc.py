@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import UnitaryChannel
+from .channels import UnitaryChannel, kind_of
 from .dual import (
+    KIND_UNITARY,
     PROJECTOR_ATOL,
     DualStateEnsemble,
     EstimatorReport,
@@ -43,7 +44,7 @@ class OtocSpec:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.channel, UnitaryChannel):
+        if kind_of(self.channel) != KIND_UNITARY:
             raise TypeError("OtocSpec needs a unitary-induced channel")
         a, b = _observables(self.a, self.b, self.channel.d_a, self.channel.d_b)
         if a.ndim != 2:

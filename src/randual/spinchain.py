@@ -14,20 +14,21 @@ quench two ways at once: exact evolution of the state, and the randomized
 dual-state estimate of the channel that evolves the full chain and keeps
 the first spin. distance_scaling_experiment instead measures how fast the
 rank-N dual estimator approaches the exact dual as N grows, for the
-unitary channel of the full chain or, restricting the input to the first
-n_a spins, for the induced general channel.
+UnitaryChannel of U(t): unitary-induced when the whole chain is the input,
+dilated when the input is restricted to the first n_a spins.
 
 Dense 2^n x 2^n matrices are built without a size check; the caller budgets
-them. Defaults target interactive runs (n = 8, d = 256). At n = 10 one time
-point (U(t), 200 samples and the variance bound) measured about 0.13 s on
-one BLAS thread of a 2-core x86 box, 85% of it forming U(t), so the default
-41-point grid takes about 6 s; each added spin multiplies the dense work by 8.
+them. Defaults target interactive runs (n = 8, d = 256). At n = 10 the
+default 41-point grid (`thermalize --n 10 --pol z`, 200 samples per point)
+took 5.9 s as a whole command on one BLAS thread of a 2-core Xeon box, about
+0.14 s per time point, most of it forming U(t); each added spin multiplies
+the dense work by 8.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channels import DilatedChannel, UnitaryChannel
+from .channels import UnitaryChannel
 from .dual import distance_table, dual_ensemble, estimate_observable
 from .linalg import evolution_from_eig, hermitian_eig, kron, sigma_y, sigma_z, unitary_evolution
 from .rng import child_seed
@@ -146,10 +147,11 @@ def distance_scaling_experiment(
     """Estimator-to-exact-dual distances across ensemble sizes.
 
     The channel evolves the n-spin chain to time t and keeps the first n_b
-    spins. With n_a = n the channel is unitary-induced; with n_a < n the
-    input is restricted to the first n_a spins (the rest start in |0>) and
-    sampling goes through the dilated path with unnormalized post-selected
-    states. With n_a = 0 it prepares the first n_b spins' reduced state
+    spins, as UnitaryChannel(U(t), d_b=2^n_b, d_a=2^n_a). With n_a = n the
+    ancilla is one-dimensional and the channel is unitary-induced; with
+    n_a < n the input is restricted to the first n_a spins (the rest start
+    in |0>), the channel is dilated and its samples are unnormalized
+    post-selected states. With n_a = 0 it prepares the first n_b spins' reduced state
     rho_S(t) of the z-polarized chain, the exact dual is rho_S(t)^T, and N
     samples compress it. Rows and seeding are those of dual.distance_table.
     """
@@ -157,8 +159,5 @@ def distance_scaling_experiment(
         raise ValueError(f"need 0 <= n_a <= n and 1 <= n_b <= n, got n_a={n_a}, n_b={n_b}, n={n}")
     ham = ising_hamiltonian(n, g, h)
     u = unitary_evolution(ham, t)
-    if n_a == n:
-        ch = UnitaryChannel(u, d_b=2**n_b)
-    else:
-        ch = DilatedChannel(u, d_a=2**n_a, d_b=2**n_b)
+    ch = UnitaryChannel(u, d_b=2**n_b, d_a=2**n_a)
     return distance_table(ch, n_values, trials, seed)

@@ -9,7 +9,7 @@ import numpy as np
 
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
-from randual.channels import KRAUS_TOL_SCALE, DilatedChannel, stinespring_dilate
+from randual.channels import KRAUS_TOL_SCALE, stinespring_dilate
 from randual.dual import DualStateEnsemble, dual_ensemble, estimate_observable
 from randual.linalg import (
     assert_hermitian,
@@ -270,7 +270,7 @@ def apply_channel_oracle(ch, rho):
     if isinstance(ch, KrausChannel):
         return np.einsum("kmi,ij,knj->mn", ch.operators, rho, ch.operators.conj())
     u = ch.unitary
-    if isinstance(ch, DilatedChannel):
+    if ch.ancilla_dim > 1:
         anc = np.zeros((ch.ancilla_dim, ch.ancilla_dim), dtype=complex)
         anc[0, 0] = 1.0
         rho = np.kron(rho, anc)

@@ -7,7 +7,6 @@ import pytest
 from randual.channels import (
     KRAUS_TOL_SCALE,
     UNITARY_ATOL,
-    DilatedChannel,
     KrausChannel,
     UnitaryChannel,
     apply_channel,
@@ -147,7 +146,7 @@ def test_stinespring_amplitude_damping():
     ch = amplitude_damping(0.35)
     dil = stinespring_dilate(ch)
     # two Kraus terms on a qubit: ancilla of dimension 2 suffices
-    assert dil.d_u == 4 and dil.ancilla_dim == 2 and dil.env_dim == 2
+    assert dil.d_u == 4 and dil.ancilla_dim == 2 and dil.d_c == 2
     u = dil.unitary
     assert np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12)
     # constructed columns: U(|j> (x) |0>) = sum_k (M_k|j>) (x) |k>
@@ -167,7 +166,7 @@ def test_stinespring_pads_ancilla_for_layout():
     rng = np.random.default_rng(8)
     ch = random_kraus_channel(rng, 3, 2, 3)
     dil = stinespring_dilate(ch)
-    assert dil.ancilla_dim == 4 and dil.d_u == 12 and dil.env_dim == 6
+    assert dil.ancilla_dim == 4 and dil.d_u == 12 and dil.d_c == 6
     u = dil.unitary
     assert np.allclose(u.conj().T @ u, np.eye(12), atol=1e-11)
     rho = random_density_matrix(rng, 3)
@@ -220,7 +219,7 @@ def _oracle_cases():
         "kraus-4/2-r8": random_kraus_channel(rng, 4, 2, 8),  # r = d_a * d_b
         "kraus-2/2-r6": random_kraus_channel(rng, 2, 2, 6),  # r > d_a * d_b = 4
         "unitary-64/2": random_unitary_channel(64, 2, rng),
-        "dilated-16/4": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),
+        "dilated-16/4": UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),
         "broken-tp": KrausChannel(depolarizing(0.3).operators * 1.01),
     }
 
@@ -290,6 +289,9 @@ def test_channel_from_dict_rejects_malformed():
         {**good, "d_b": 2.9},
         {**good, "d_a": "2"},
         {**good, "d_b": True, "matrices": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]]},
+        # entries are JSON numbers: complex() would read true and false as 1 and 0
+        {"kind": "unitary_induced", "d_a": 2, "d_b": 1,
+         "matrices": [[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [True, False]]]]},
     ):
         with pytest.raises(ValueError):
             channel_from_dict(breakage)
@@ -301,7 +303,23 @@ def test_constructor_shape_checks():
     with pytest.raises(ValueError):
         UnitaryChannel(np.eye(6), d_b=4)
     with pytest.raises(ValueError):
-        DilatedChannel(np.eye(6), d_a=4, d_b=2)
+        UnitaryChannel(np.eye(6), d_a=4, d_b=2)
+
+
+@pytest.mark.parametrize("d_a, d_b, r", [(3, 2, 3), (12, 3, 5), (32, 8, 4), (2, 2, 6)])
+def test_stinespring_columns_are_the_kraus_stack_and_its_complement_bitwise(d_a, d_b, r):
+    # the ancilla-0 columns hold operator k in environment slot k and zeros
+    # in the padded slots (3 -> 2 r=3 and 12 -> 3 r=5 pad the ancilla)
+    ch = random_kraus_channel(np.random.default_rng(53), d_a, d_b, r)
+    dil = stinespring_dilate(ch)
+    want = np.zeros((dil.d_c, d_b, d_a), dtype=complex)
+    want[:r] = ch.operators
+    assert kraus_operators(dil).tobytes() == want.tobytes()
+    # every other column, in index order, is the QR completion of those
+    nu = dil.ancilla_dim
+    q = np.linalg.qr(dil.unitary[:, 0::nu], mode="complete")[0]
+    rest = [c for c in range(dil.d_u) if c % nu != 0]
+    assert dil.unitary[:, rest].tobytes() == q[:, d_a:].tobytes()
 
 
 def test_dilated_channel_ancilla_must_start_in_reference():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from randual import cli
-from randual.channels import DilatedChannel, KrausChannel, UnitaryChannel, save_channel, stinespring_dilate
+from randual.channels import KrausChannel, UnitaryChannel, channel_to_dict, save_channel, stinespring_dilate
 from randual.dual import EstimatorReport
 from randual.rng import haar_unitary
 
@@ -196,7 +196,7 @@ def test_overflowing_channel_is_invalid_not_a_lapack_error(kind, tmp_path, capsy
         ch = KrausChannel(depolarizing(0.3).operators * 1e200)
     else:
         ch = stinespring_dilate(depolarizing(0.3))
-        ch = DilatedChannel(ch.unitary * 1e200, d_a=ch.d_a, d_b=ch.d_b)
+        ch = UnitaryChannel(ch.unitary * 1e200, d_a=ch.d_a, d_b=ch.d_b)
     path = tmp_path / "overflow.json"
     save_channel(ch, str(path))
     assert cli.main(["inspect", str(path)]) == 2
@@ -458,6 +458,32 @@ def test_scaling_compresses_the_reduced_state(tmp_path):
     assert cli.main(["scaling", "--n", "4", "--na", "-1", "--output-dir", str(tmp_path)]) == 2
 
 
+def test_trivially_dilated_spec_is_the_unitary_induced_channel(tmp_path):
+    # a dilated spec whose d_a is its matrix dimension has a one-dimensional
+    # ancilla: it is the unitary-induced channel of the same matrix
+    unitary = UnitaryChannel(haar_unitary(8, 54), d_b=2)
+    a = tmp_path / "a.json"
+    a.write_text(mat_json(random_hermitian(np.random.default_rng(55), 8)))
+    outputs = {}
+    for kind in ("unitary_induced", "dilated"):
+        spec = tmp_path / f"{kind}.json"
+        spec.write_text(json.dumps({**channel_to_dict(unitary), "kind": kind}))
+        observables = ["--observable-a", str(a), "--observable-b"]
+        runs = {
+            "report.json": ["inspect", str(spec)],
+            "estimate.json": ["estimate", str(spec), *observables, SIGMA_Z_JSON, "--n-samples", "50"],
+            "otoc.json": ["otoc", str(spec), *observables, PROJ0_JSON, "--pairs", "20"],
+        }
+        for produced, argv in runs.items():
+            out = tmp_path / kind / produced
+            assert cli.main(argv + ["--seed", "6", "--output-dir", str(out.parent)]) == 0
+            outputs[kind, produced] = out.read_bytes()
+        assert json.loads(outputs[kind, "report.json"])["kind"] == "unitary_induced"
+        assert json.loads(outputs[kind, "estimate.json"])["analytic_sigma_bound"] is not None
+    for produced in runs:
+        assert outputs["dilated", produced] == outputs["unitary_induced", produced]
+
+
 def test_usage_errors(tmp_path):
     negative_seed = ["thermalize", "--n", "3", "--pol", "z", "--seed", "-1"]
     nan_channel = tmp_path / "nan.json"
@@ -468,6 +494,14 @@ def test_usage_errors(tmp_path):
         '{"kind": "unitary_induced", "d_a": 2.0, "d_b": 1.7,'
         ' "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}'
     )
+    identity = tmp_path / "identity.json"
+    identity.write_text(
+        '{"kind": "unitary_induced", "d_a": 2, "d_b": 1,'
+        ' "matrices": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}'
+    )
+    # complex() would read true as 1, which makes this A the identity
+    bool_a = tmp_path / "bool_a.json"
+    bool_a.write_text("[[[true, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]")
     for args in (
         [],
         ["frobnicate"],
@@ -477,6 +511,7 @@ def test_usage_errors(tmp_path):
         ["thermalize", "--n", "3", "--pol", "z", "--h", "inf", "--t-max", "0.5"],
         ["inspect", str(nan_channel)],
         ["inspect", str(float_dims)],
+        ["estimate", str(identity), "--observable-a", str(bool_a), "--observable-b", "[[[1.0, 0.0]]]"],
     ):
         res = run_cli(args, cwd=tmp_path)
         assert res.returncode == 1, (args, res.stderr)
@@ -672,13 +707,13 @@ def _unbuilt(cls, name, shape, **fields):
         (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (4097, 64, 64)), "kraus stack"),
         # one 1 x 4097 operator: its d_a x d_a Gram is one row past the budget
         (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (1, 1, 4097)), "kraus gram"),
-        (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1), "unitary"),
+        (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1, d_a=4097), "unitary"),
         # 2049 rows of 32 x 256 entries: one row past the budget
         (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2049"],
-         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32), "state rows"),
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32, d_a=256), "state rows"),
         # 2^16 + 2 blocks of 256 entries: one pair past the budget
         (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
-         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16), "row blocks"),
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16, d_a=256), "row blocks"),
     ],
     ids=["inspect-kraus", "inspect-kraus-gram", "inspect-unitary", "estimate", "otoc"],
 )  # fmt: skip

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from randual.channels import (
-    DilatedChannel,
     KrausChannel,
     UnitaryChannel,
     apply_channel,
@@ -280,7 +279,7 @@ def _rank1_kinds():
         "unitary": unitary,
         "kraus r<d": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d_a = 8
         "kraus r>d": random_kraus_channel(rng, 2, 2, 6),  # r = 6 > d_b * d_a = 4
-        "dilated": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),
+        "dilated": UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),
         "trivially dilated": stinespring_dilate(unitary),
     }
 
@@ -477,7 +476,7 @@ def test_general_ensemble_trivial_dilation_matches_unitary_path():
     via_dilation = dual_ensemble(stinespring_dilate(ch), 5, master_seed=21)
     assert np.array_equal(direct.states, via_dilation.states)
     assert direct.kind == KIND_UNITARY
-    assert via_dilation.kind == KIND_POSTSELECTED
+    assert via_dilation.kind == KIND_UNITARY
 
 
 def test_general_ensemble_converges_to_exact_dual():
@@ -509,18 +508,18 @@ def test_ensemble_construction_checks():
             DualStateEnsemble(bad, 1, ch)
 
 
-@pytest.mark.parametrize("kind", [UnitaryChannel, DilatedChannel, KrausChannel])
+@pytest.mark.parametrize("kind", ["unitary", "dilated", "kraus"])
 def test_ensemble_prefix_property_every_channel_kind(kind):
     unitary = random_unitary_channel(8, 2, np.random.default_rng(18))
     ch = {
-        UnitaryChannel: unitary,
-        DilatedChannel: DilatedChannel(unitary.unitary, d_a=4, d_b=2),
-        KrausChannel: amplitude_damping(0.3),
+        "unitary": unitary,
+        "dilated": UnitaryChannel(unitary.unitary, d_a=4, d_b=2),
+        "kraus": amplitude_damping(0.3),
     }[kind]
     short = dual_ensemble(ch, 7, master_seed=23)
     long = dual_ensemble(ch, 7 + 5, master_seed=23)
     assert np.array_equal(short.states, long.states[:7])
-    want = KIND_UNITARY if kind is UnitaryChannel else KIND_POSTSELECTED
+    want = KIND_UNITARY if kind == "unitary" else KIND_POSTSELECTED
     assert short.kind == long.kind == want
 
 
@@ -533,7 +532,7 @@ def test_ensemble_rows_across_a_key_block_match_seedsequence_draws(kind):
     ens = dual_ensemble(ch, 4097, master_seed=49)
     dil = stinespring_dilate(ch)
     for k in (0, 4095, 4096):
-        psi = haar_state(dil.env_dim, seedsequence_rng(49, k))
+        psi = haar_state(dil.d_c, seedsequence_rng(49, k))
         want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psi[np.newaxis])
         assert np.array_equal(ens.states[k], want[0])
 
@@ -543,7 +542,7 @@ def test_ensemble_rows_match_tensordot_oracle(kind):
     unitary = random_unitary_channel(16, 2, np.random.default_rng(25))
     ch = {
         "unitary": unitary,
-        "dilated": DilatedChannel(unitary.unitary, d_a=4, d_b=2),
+        "dilated": UnitaryChannel(unitary.unitary, d_a=4, d_b=2),
         "kraus": depolarizing(0.3),
     }[kind]
     n = 9
@@ -551,7 +550,7 @@ def test_ensemble_rows_match_tensordot_oracle(kind):
     dil = stinespring_dilate(ch)
     nu = dil.ancilla_dim
     assert (nu > 1) == (kind != "unitary")
-    psis = np.array([haar_state(dil.env_dim, SeedSpec(26, k).rng()) for k in range(n)])
+    psis = np.array([haar_state(dil.d_c, SeedSpec(26, k).rng()) for k in range(n)])
     want = batch_states_oracle(dil.unitary, ch.d_b, psis).reshape(n, ch.d_b, ch.d_a, nu)[..., 0]
     want = (want * np.sqrt(nu) if nu > 1 else want).reshape(n, ch.d_b * ch.d_a)
     assert _rel_err(ens.states, want) <= 1e-14
@@ -604,7 +603,7 @@ def _every_channel_kind():
     return {
         "unitary": random_unitary_channel(16, 2, rng),  # r = d_c = 8 < d = 32
         "kraus": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d = 32
-        "dilated": DilatedChannel(haar_unitary(32, rng), d_a=16, d_b=4),  # r = env = 8 < d = 64
+        "dilated": UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),  # r = env = 8 < d = 64
         "depolarizing": depolarizing(0.4),  # r = d = 4: always the dense branch
     }
 
@@ -636,7 +635,7 @@ def test_ensemble_metadata_is_read_off_the_channel(kind):
     ens = DualStateEnsemble(drawn.draws, 49, ch)
     assert (ens.d_a, ens.d_b) == (ch.d_a, ch.d_b)
     assert ens.kind == (KIND_UNITARY if kind == "unitary" else KIND_POSTSELECTED)
-    d_env = stinespring_dilate(ch).env_dim
+    d_env = stinespring_dilate(ch).d_c
     assert ens.draws.shape == (3, d_env)
     assert np.array_equal(ens.states, drawn.states)
     for width in (d_env - 1, d_env + 1, ch.d_a, ch.d_b):
@@ -689,10 +688,10 @@ def test_postselected_rows_bits_match_full_dilation_product(kind, n):
         "kraus 16->4 r=4": lambda: random_kraus_channel(rng, 16, 4, 4),
         "kraus 32->8 r=4": lambda: random_kraus_channel(rng, 32, 8, 4),
         "kraus 64->4 r=16": lambda: random_kraus_channel(rng, 64, 4, 16),
-        "dilated 64 d_a=16 d_b=2": lambda: DilatedChannel(haar_unitary(64, rng), d_a=16, d_b=2),
+        "dilated 64 d_a=16 d_b=2": lambda: UnitaryChannel(haar_unitary(64, rng), d_a=16, d_b=2),
     }[kind]()
     dil = stinespring_dilate(ch)
-    psis = np.array([haar_state(dil.env_dim, SeedSpec(47, k).rng()) for k in range(n)])
+    psis = np.array([haar_state(dil.d_c, SeedSpec(47, k).rng()) for k in range(n)])
     want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psis)
     assert dil.ancilla_dim > 1
     assert np.array_equal(dual_ensemble(ch, n, master_seed=47).states, want)
@@ -707,7 +706,7 @@ def test_rows_are_the_exact_dual_factor_applied_to_the_draws(kind):
     ch, r, d_env = {
         "unitary 64/4": lambda: (random_unitary_channel(64, 4, rng), 16, 16),
         "kraus 12->3 r=5": lambda: (random_kraus_channel(rng, 12, 3, 5), 5, 20),
-        "dilated 32 d_a=8 d_b=4": lambda: (DilatedChannel(haar_unitary(32, rng), d_a=8, d_b=4), 8, 8),
+        "dilated 32 d_a=8 d_b=4": lambda: (UnitaryChannel(haar_unitary(32, rng), d_a=8, d_b=4), 8, 8),
     }[kind]()
     ens = dual_ensemble(ch, 30, master_seed=52)
     w = exact_dual_factor(ch)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randual.channels import (
-    DilatedChannel,
     UnitaryChannel,
     apply_channel,
     load_channel,
@@ -33,7 +32,7 @@ def channels(draw):
     d_b = draw(st.integers(1, 6))
     if kind == "dilated":
         d_u = math.lcm(d_a, d_b) * draw(st.integers(1, 2))
-        return DilatedChannel(haar_unitary(d_u, seed), d_a=d_a, d_b=d_b)
+        return UnitaryChannel(haar_unitary(d_u, seed), d_a=d_a, d_b=d_b)
     # r Kraus operators need d_b * r >= d_a to form an isometry
     r = draw(st.integers(-(-d_a // d_b), 6))
     return random_kraus_channel(np.random.default_rng(seed), d_a, d_b, r)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from randual import spinchain
-from randual.channels import DilatedChannel, UnitaryChannel, validate_channel
+from randual.channels import UnitaryChannel, validate_channel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual
 from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
@@ -224,7 +224,7 @@ def test_compression_channel_dual_is_the_reduced_state_transposed():
     # n_a = 0: the chain channel has a one-dimensional input and prepares
     # rho_S(t); its exact dual is rho_S(t)^T
     u = unitary_evolution(ising_hamiltonian(6, 1.05, 0.5), 1.0)
-    ch = DilatedChannel(u, d_a=1, d_b=4)
+    ch = UnitaryChannel(u, d_a=1, d_b=4)
     assert validate_channel(ch).is_valid
     assert np.allclose(exact_dual(ch), _reduced_state(6, 2, 1.0).T, atol=1e-13, rtol=0)
 

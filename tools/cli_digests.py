@@ -4,8 +4,10 @@
 
 Builds the inputs of the benchmark's `quench` and `distance` workloads for
 SEED (bench/workloads.py, read only) in a temporary directory, runs every
-workload command there, plus an all-pairs `otoc` (500 pairs, seed 5) and
-`inspect` of the Kraus and the unitary input, each as `python -m randual`
+workload command there, plus an all-pairs `otoc` (500 pairs, seed 5),
+`inspect` of the Kraus and the unitary input, and two `scaling` runs of the
+dilated chain (8 spins, input on the first 4 or on none, output on the
+first 2; SEED is their master seed), each as `python -m randual`
 from this checkout's src with RANDUAL_THREADS=1 and the BLAS thread
 variables unset. Prints one `name sha256[:16]` line per result file; two
 checkouts print the same lines exactly when their result files are
@@ -51,6 +53,13 @@ def main(seed: int) -> None:
         run("otoc-all", argv, out / "otoc.json")
         for name, spec in (("inspect-kraus", "kraus.json"), ("inspect-unitary", "unitary.json")):
             run(name, ["inspect", str(work / spec), "--output-dir", str(work / name)], work / name / "report.json")
+        for na in ("4", "0"):
+            out = work / f"scaling-na{na}"
+            argv = [
+                "scaling", "--n", "8", "--na", na, "--nb", "2", "--n-values", "10,50", "--trials", "2",
+                "--seed", str(seed), "--output-dir", str(out),
+            ]  # fmt: skip
+            run(f"scaling-na{na}", argv, out / "scaling.csv")
 
 
 if __name__ == "__main__":

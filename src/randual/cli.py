@@ -116,11 +116,11 @@ def _environment() -> dict:
     }
 
 
-def _write_result(args: argparse.Namespace, t0: float, name: str, result, columns=None) -> Path:
+def _write_result(args: argparse.Namespace, t0: float, name: str, result, columns=None, **fields) -> Path:
     """Write result to --output-dir/name, then the manifest that hashes it.
 
     With columns, result is a list of rows written as CSV under that header;
-    otherwise it is written as strict JSON.
+    otherwise it is written as strict JSON. fields are added to the manifest.
     """
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -140,6 +140,7 @@ def _write_result(args: argparse.Namespace, t0: float, name: str, result, column
         "environment": _environment(),
         "wall_clock_s": time.monotonic() - t0,
         "outputs": {name: hashlib.sha256(path.read_bytes()).hexdigest()},
+        **fields,
     }
     _write_json(outdir / "manifest.json", manifest)
     return path
@@ -344,7 +345,9 @@ def cmd_thermalize(args: argparse.Namespace) -> None:
         g=args.g,
         h=args.h,
     )
-    path = _write_result(args, t0, "thermalize.csv", rows, THERMALIZE_COLUMNS)
+    within = sum(abs(row["estimate"] - row["exact"]) <= row["bound"] for row in rows)
+    share = within / len(rows) if rows else None
+    path = _write_result(args, t0, "thermalize.csv", rows, THERMALIZE_COLUMNS, within_bound_share=share)
     print(f"{len(rows)} time points -> {path}")
 
 

@@ -18,11 +18,12 @@ UnitaryChannel of U(t): unitary-induced when the whole chain is the input,
 dilated when the input is restricted to the first n_a spins.
 
 Dense 2^n x 2^n matrices are built without a size check; the caller budgets
-them. Defaults target interactive runs (n = 8, d = 256). At n = 10 the
+them. Defaults target interactive runs (n = 8, d = 256). The quench
+evolves the state, not the operator: after one eigensolve, the only O(d^3)
+step, each time point costs O(d^2) plus its Haar draws. At n = 10 the
 default 41-point grid (`thermalize --n 10 --pol z`, 200 samples per point)
-took 5.9 s as a whole command on one BLAS thread of a 2-core Xeon box, about
-0.14 s per time point, most of it forming U(t); each added spin multiplies
-the dense work by 8.
+takes 1.0-1.2 s as a whole command on one BLAS thread of a 2-core Xeon box;
+each added spin multiplies the eigensolve's work by 8.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .channels import UnitaryChannel
 from .dual import distance_table, dual_ensemble, estimate_observable
-from .linalg import evolution_from_eig, hermitian_eig, kron, sigma_y, sigma_z, unitary_evolution
+from .linalg import hermitian_eig, kron, sigma_y, sigma_z, unitary_evolution
 from .rng import child_seed
 
 DEFAULT_G = 1.05
@@ -89,11 +90,15 @@ def thermalization_experiment(
     times must be a nonempty, nonnegative, strictly increasing 1-d grid.
     Every argument is checked before the eigensolve.
 
-    Per time point: diagonal evolution gives U(t) and the exact value
-    <psi_t| B (x) I |psi_t>; the randomized value pairs A = |psi_0><psi_0|,
-    passed as the vector psi_0 so no d x d A is formed, with B through a
-    fresh dual ensemble of n_samples states of the U(t) channel, seeded by
-    (seed, time index). Rows carry time, exact, estimate, sigma_n and the
+    Per time point the state, not U(t), is evolved: with H = V diag(w) V^T
+    (V real) and c_0 = V^T psi_0, psi_t = V (e^{-iwt} c_0) costs two real
+    mat-vecs and gives the exact value <psi_t| B (x) I |psi_t>. The
+    randomized value is the dual-state estimate of tr[X_t(|psi_0><psi_0|) B]
+    for the U(t) channel X_t, from a fresh ensemble of n_samples states
+    seeded by (seed, time index). X_t's dual samples are those of the
+    partial trace keeping spin 1 rotated by U(t)^dag, so every time point
+    samples that one channel with the vector A = psi_t, draw by draw the
+    same values. Rows carry time, exact, estimate, sigma_n and the
     3 sigma_n half-width under the key "bound".
     """
     if polarization not in _PAULI_1:
@@ -111,16 +116,16 @@ def thermalization_experiment(
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     w, v = hermitian_eig(ising_hamiltonian(n, g, h))
-    psi0 = polarized_state(n, polarization)
+    c0 = _real_matvec(v.T, polarized_state(n, polarization))
+    keep = UnitaryChannel(np.eye(2**n, dtype=complex), d_b=2)
     b = _PAULI_1[observable]
     rows = []
     for i, t in enumerate(times):
-        u = evolution_from_eig(w, v, float(t))
-        psi_t = u @ psi0
+        psi_t = _real_matvec(v, np.exp(-1j * w * t) * c0)
         pt = psi_t.reshape(2, -1)
         exact = float(np.einsum("bi,bc,ci->", pt.conj(), b, pt).real)
-        ens = dual_ensemble(UnitaryChannel(u, d_b=2), n_samples, child_seed(seed, i))
-        rep = estimate_observable(ens, psi0, b)
+        ens = dual_ensemble(keep, n_samples, child_seed(seed, i))
+        rep = estimate_observable(ens, psi_t, b)
         rows.append(
             {
                 "time": float(t),
@@ -131,6 +136,12 @@ def thermalization_experiment(
             }
         )
     return rows
+
+
+def _real_matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a real matrix m and a complex vector x as two real mat-vecs,
+    so m is never cast to complex."""
+    return m @ x.real + 1j * (m @ x.imag)
 
 
 def distance_scaling_experiment(

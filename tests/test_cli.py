@@ -409,6 +409,19 @@ def test_thermalize_command(tmp_path):
     assert abs(float(rows[1][1]) - 1.0) < 1e-12  # z start, exact <sigma_z> = 1
 
 
+def test_thermalize_manifest_records_the_share_of_rows_within_bound(tmp_path):
+    # three samples per point make sigma_n a poor error scale, so some rows
+    # miss their bound; the manifest's share is the CSV's, recomputed
+    argv = ["thermalize", "--n", "4", "--pol", "z", "--n-samples", "3", "--t-max", "5", "--seed", "2"]
+    assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "thermalize.csv", newline="") as f:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(f)]
+    within = [abs(r["estimate"] - r["exact"]) <= r["bound"] for r in rows]
+    share = _strict_json(tmp_path / "manifest.json")["within_bound_share"]
+    assert share == sum(within) / len(rows)
+    assert 0.0 < share < 1.0
+
+
 def test_thermalize_site_cap(tmp_path):
     res = run_cli(["thermalize", "--n", "13", "--pol", "z"], cwd=tmp_path)
     assert res.returncode == 3

@@ -272,6 +272,22 @@ def test_vector_observable_on_postselected_ensembles(kind):
     assert _rel_err(got, sample_values(ens, np.outer(v, v.conj()), b)) <= 1e-12
 
 
+@pytest.mark.parametrize("d, d_b", [(16, 2), (16, 4), (64, 2), (64, 4)])
+def test_unitary_channel_values_are_the_partial_trace_values_of_the_rotated_vector(d, d_b):
+    # the dual samples of U's channel are those of the identity channel (the
+    # partial trace keeping d_b) rotated by U^dag, so at one seed the values
+    # for v are, draw by draw, the trace's values for U v
+    rng = np.random.default_rng(d + d_b)
+    u = haar_unitary(d, rng)
+    v = _random_vector(rng, d, True)
+    b = random_hermitian(rng, d_b)
+    ch, keep = UnitaryChannel(u, d_b), UnitaryChannel(np.eye(d, dtype=complex), d_b)
+    got = sample_values(dual_ensemble(keep, 40, master_seed=35), u @ v, b)
+    want = sample_values(dual_ensemble(ch, 40, master_seed=35), v, b)
+    assert np.abs(got - want).max() <= 1e-12
+    assert abs(variance_bound(keep, u @ v, b) - variance_bound(ch, v, b)) <= 1e-12
+
+
 def _rank1_kinds():
     rng = np.random.default_rng(51)
     unitary = random_unitary_channel(16, 4, rng)

@@ -150,16 +150,18 @@ def test_thermalization_y_polarization_tracks_y_observable():
     assert abs(rows[0]["estimate"] - 1.0) <= rows[0]["bound"] + 1e-12
 
 
-@pytest.mark.parametrize("n, pol", [(4, "z"), (6, "y"), (8, "z"), (8, "y")])
+@pytest.mark.parametrize("pol", ["z", "y"])
+@pytest.mark.parametrize("n", [4, 6, 8, 10])
 def test_thermalization_vector_observable_matches_dense_reference(n, pol):
-    # the experiment passes psi_0 as a vector; the reference forms |psi_0><psi_0|
+    # the experiment evolves psi_0 and samples the partial trace with psi_t;
+    # the reference forms U(t), samples its channel and the dense |psi_0><psi_0|
     run = {"n": n, "polarization": pol, "times": np.array([0.0, 0.75, 2.5]), "n_samples": 50, "seed": 21}
     rows = thermalization_experiment(**run)
     want = thermalization_dense_oracle(**run)
     assert len(rows) == len(want)
     for row, ref in zip(rows, want):
         assert row["time"] == ref["time"]
-        assert row["exact"] == ref["exact"]
+        assert abs(row["exact"] - ref["exact"]) <= 1e-12
         assert abs(row["estimate"] - ref["estimate"]) <= 1e-12
         assert abs(row["sigma_n"] - ref["sigma_n"]) <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from randual import spinchain
 from randual.channels import UnitaryChannel, validate_channel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual
-from randual.linalg import hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
+from randual.linalg import hermitian_eig, hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
     distance_scaling_experiment,
     ising_hamiltonian,
@@ -150,12 +150,19 @@ def test_thermalization_y_polarization_tracks_y_observable():
     assert abs(rows[0]["estimate"] - 1.0) <= rows[0]["bound"] + 1e-12
 
 
-@pytest.mark.parametrize("pol", ["z", "y"])
-@pytest.mark.parametrize("n", [4, 6, 8, 10])
-def test_thermalization_vector_observable_matches_dense_reference(n, pol):
-    # the experiment evolves psi_0 and samples the partial trace with psi_t;
-    # the reference forms U(t), samples its channel and the dense |psi_0><psi_0|
-    run = {"n": n, "polarization": pol, "times": np.array([0.0, 0.75, 2.5]), "n_samples": 50, "seed": 21}
+@pytest.mark.parametrize(
+    "n, pol, extra",
+    [pytest.param(n, pol, {}, id=f"{n}-{pol}") for n in (3, 4, 5, 6, 8, 9, 10) for pol in ("z", "y")]
+    + [
+        pytest.param(7, "y", {"g": 0.6, "h": -1.3}, id="7-y-g0.6-h-1.3"),
+        pytest.param(6, "y", {"observable": "z"}, id="6-y-obs-z"),
+    ],
+)
+def test_thermalization_vector_observable_matches_dense_reference(n, pol, extra):
+    # the experiment evolves psi_0 on the mirror-even sector and samples the
+    # partial trace with psi_t; the reference diagonalizes the dense H, forms
+    # U(t), samples its channel and the dense |psi_0><psi_0|
+    run = {"n": n, "polarization": pol, "times": np.array([0.0, 0.75, 2.5]), "n_samples": 50, "seed": 21, **extra}
     rows = thermalization_experiment(**run)
     want = thermalization_dense_oracle(**run)
     assert len(rows) == len(want)
@@ -164,6 +171,42 @@ def test_thermalization_vector_observable_matches_dense_reference(n, pol):
         assert abs(row["exact"] - ref["exact"]) <= 1e-12
         assert abs(row["estimate"] - ref["estimate"]) <= 1e-12
         assert abs(row["sigma_n"] - ref["sigma_n"]) <= 1e-12
+
+
+def sector_dim(n):
+    return (2**n + 2 ** ((n + 1) // 2)) // 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_mirror_even_block_is_the_dense_hamiltonian_on_its_sector(n):
+    # R maps basis index x to the index with its n bits reversed (site j <-> n+1-j)
+    mirror = np.zeros((2**n, 2**n))
+    for x in range(2**n):
+        mirror[int(format(x, f"0{n}b")[::-1], 2), x] = 1.0
+    for g, h in np.random.default_rng(n).uniform(-2.0, 2.0, size=(2, 2)):
+        block, j_of, scale = spinchain._mirror_even_block(n, g, h)
+        # the dense isometry B: column j_of[x] holds scale[x] at row x
+        b = np.zeros((2**n, sector_dim(n)))
+        b[np.arange(2**n), j_of] = scale
+        assert np.allclose(b.T @ b, np.eye(sector_dim(n)), atol=1e-15, rtol=0)
+        assert np.array_equal(mirror @ b, b)
+        assert np.abs(block - b.T @ ising_hamiltonian(n, g, h) @ b).max() <= 1e-13
+        for pol in ("z", "y"):
+            psi = polarized_state(n, pol)
+            assert np.allclose(b @ (b.T @ psi), psi, atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 10])
+def test_quench_solves_one_mirror_sector_block(monkeypatch, n):
+    seen = []
+
+    def spy(m):
+        seen.append(m.shape)
+        return hermitian_eig(m)
+
+    monkeypatch.setattr(spinchain, "hermitian_eig", spy)
+    quench(n=n)
+    assert seen == [(sector_dim(n), sector_dim(n))]
 
 
 def test_thermalization_determinism():

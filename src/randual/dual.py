@@ -52,6 +52,7 @@ use; a rank-1 A and the OTOC read the draws.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -441,7 +442,7 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    n_values = [int(n) for n in n_values]
+    n_values = [operator.index(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
     factor = exact_dual_factor(ch)

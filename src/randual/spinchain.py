@@ -17,11 +17,12 @@ rank-N dual estimator approaches the exact dual as N grows, for the
 UnitaryChannel of U(t): unitary-induced when the whole chain is the input,
 dilated when the input is restricted to the first n_a spins.
 
-Dense 2^n x 2^n matrices are built without a size check; the caller budgets
-them. Defaults target interactive runs (n = 8, d = 256). The quench
-evolves the state, not the operator, in the mirror-even sector: H commutes
-with the mirror R (site j <-> n+1-j), which fixes both polarized states, so
-psi_t stays in the R = +1 sector of dimension m = (2^n + 2^ceil(n/2))/2.
+One bit loop, _ising_block, builds the dense H or its mirror-even block,
+without a size check; the caller budgets them. Defaults target
+interactive runs (n = 8, d = 256). The quench evolves the state, not the
+operator, in the mirror-even sector: H commutes with the mirror R
+(site j <-> n+1-j), which fixes both polarized states, so psi_t stays in
+the R = +1 sector of dimension m = (2^n + 2^ceil(n/2))/2.
 Its one eigensolve, the only O(m^3) step, is about 1/7 of the dense one;
 each time point costs O(d^2) plus its Haar draws. At n = 10 the default
 41-point grid (`thermalize --n 10 --pol z`, 200 samples per point) takes
@@ -48,42 +49,33 @@ def ising_hamiltonian(n: int, g: float, h: float) -> np.ndarray:
 
     Real symmetric float64, 2^n x 2^n, built without a size check.
     """
-    idx = np.arange(2**n)
-    ham = np.diag(_ising_diagonal(n, h))
-    for j in range(n):
-        ham[idx, idx ^ (1 << (n - 1 - j))] -= g
-    return ham
+    return _ising_block(n, g, h, mirror=False)[0]
 
 
-def _ising_diagonal(n: int, h: float) -> np.ndarray:
-    """H's diagonal over the 2^n basis indices; refuses chains under 2 spins."""
+def _ising_block(n: int, g: float, h: float, mirror: bool):
+    """P^T H P built from the bits, and the map back; refuses chains under 2 spins.
+
+    Column j of the isometry P is (e_x + e_R(x))/c_j for an orbit {x, R(x)},
+    c_j = sqrt(2) for a pair and 2 for a palindrome. With mirror, R is the
+    site mirror and P spans its even sector; without, R is the identity, so
+    P = I and the block is the dense H. Also returns each basis index's
+    column and P's entry there.
+    """
     if n < 2:
         raise ValueError("need at least 2 spins")
     idx = np.arange(2**n)
-    # z_j = +1/-1 for bit j of the basis index, site j on bit n-1-j
-    z = 1.0 - 2.0 * ((idx[np.newaxis, :] >> (n - 1 - np.arange(n)[:, np.newaxis])) & 1)
-    return -np.sum(z[:-1] * z[1:], axis=0) - h * np.sum(z, axis=0)
-
-
-def _mirror_even_block(n: int, g: float, h: float):
-    """P^T H P on the mirror-even sector, built from the bits, and the map back.
-
-    Column j of the isometry P is (e_x + e_R(x))/c_j for an orbit {x, R(x)}
-    of the site mirror R, c_j = sqrt(2) for a pair and 2 for a palindrome.
-    Also returns each basis index's column and P's entry there.
-    """
-    diag = _ising_diagonal(n, h)
-    idx = np.arange(2**n)
-    rev = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n))
+    rev = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n)) if mirror else idx
     reps = np.flatnonzero(idx <= rev)
     j_of = np.searchsorted(reps, np.minimum(idx, rev))
     c = np.where(reps == rev[reps], 2.0, np.sqrt(2.0))
-    block = np.diag(diag[reps])
+    # z_j = +1/-1 for bit j of the basis index, site j on bit n-1-j
+    z = 1.0 - 2.0 * ((reps[np.newaxis, :] >> (n - 1 - np.arange(n)[:, np.newaxis])) & 1)
+    block = np.diag(-np.sum(z[:-1] * z[1:], axis=0) - h * np.sum(z, axis=0))
     cols = np.arange(reps.size)
     for k in range(n):  # a bit flip never stays inside its orbit
         i = j_of[reps ^ (1 << k)]
         block[i, cols] -= g * c[i] / c
-    return block, j_of, np.where(idx == rev, 1.0, np.sqrt(0.5))
+    return block, j_of, c[j_of] / 2
 
 
 def polarized_state(n: int, axis: str) -> np.ndarray:
@@ -115,12 +107,12 @@ def thermalization_experiment(
     The n-spin chain with fields g, h (not both zero: that chain is
     classical and never relaxes) starts polarized along polarization and
     tracks observable on the first spin, by default the polarization axis.
-    times must be a nonempty, nonnegative, strictly increasing 1-d grid.
-    Every argument is checked before the eigensolve.
+    times must be a nonempty, finite, nonnegative, strictly increasing 1-d
+    grid. Every argument is checked before the eigensolve.
 
     Per time point the state, not U(t), is evolved, inside the mirror-even
-    sector that holds psi_0: with that sector's isometry P, its block
-    P^T H P = W diag(w) W^T (W real) and c_0 = W^T P^T psi_0,
+    sector that holds psi_0: with that sector's isometry P and block
+    P^T H P = W diag(w) W^T (W real) from _ising_block, c_0 = W^T P^T psi_0,
     psi_t = P W (e^{-iwt} c_0) costs two real m-dimensional mat-vecs and a
     gather, and gives the exact value <psi_t| B (x) I |psi_t>. The
     randomized value is the dual-state estimate of tr[X_t(|psi_0><psi_0|) B]
@@ -141,11 +133,13 @@ def thermalization_experiment(
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a nonempty 1-d grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be nonnegative and strictly increasing")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    block, j_of, scale = _mirror_even_block(n, g, h)
+    block, j_of, scale = _ising_block(n, g, h, mirror=True)
     w, v = hermitian_eig(block)
     psi0 = scale * polarized_state(n, polarization)
     c0 = _real_matvec(v.T, np.bincount(j_of, psi0.real) + 1j * np.bincount(j_of, psi0.imag))
@@ -200,6 +194,8 @@ def distance_scaling_experiment(
     """
     if not (0 <= n_a <= n and 1 <= n_b <= n):
         raise ValueError(f"need 0 <= n_a <= n and 1 <= n_b <= n, got n_a={n_a}, n_b={n_b}, n={n}")
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
     ham = ising_hamiltonian(n, g, h)
     u = unitary_evolution(ham, t)
     ch = UnitaryChannel(u, d_b=2**n_b, d_a=2**n_a)

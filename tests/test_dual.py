@@ -586,6 +586,11 @@ def test_distance_table_cells_and_checks():
     for n_values, trials in (([4], 0), ([], 1), ([0], 1)):
         with pytest.raises(ValueError):
             distance_table(ch, n_values, trials, seed=24)
+    # sizes are read as integers, never truncated: floats raise, numpy integers pass
+    for n_values in ([10.7], [np.float64(3.9)], [4.0]):
+        with pytest.raises(TypeError):
+            distance_table(ch, n_values, 1, seed=24)
+    assert distance_table(ch, [np.int64(4), np.int32(9)], 2, seed=24) == rows
 
 
 @pytest.mark.parametrize("n_values, dense_cells", [([5, 20], 0), ([5, 40, 60], 4)])

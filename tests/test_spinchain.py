@@ -116,6 +116,8 @@ def test_run_validation(monkeypatch):
         ({"times": [0.0, 0.5, 0.5]}, "strictly increasing"),
         ({"times": [-1.0, 0.5]}, "nonnegative"),
         ({"times": []}, "nonempty"),
+        ({"times": [0.0, np.nan]}, "finite"),
+        ({"times": [0.0, np.inf]}, "finite"),
         ({"n_samples": 0}, "n_samples must be at least 1"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -184,16 +186,22 @@ def test_mirror_even_block_is_the_dense_hamiltonian_on_its_sector(n):
     for x in range(2**n):
         mirror[int(format(x, f"0{n}b")[::-1], 2), x] = 1.0
     for g, h in np.random.default_rng(n).uniform(-2.0, 2.0, size=(2, 2)):
-        block, j_of, scale = spinchain._mirror_even_block(n, g, h)
+        ham = ising_bruteforce(n, g, h).real
+        block, j_of, scale = spinchain._ising_block(n, g, h, mirror=True)
         # the dense isometry B: column j_of[x] holds scale[x] at row x
         b = np.zeros((2**n, sector_dim(n)))
         b[np.arange(2**n), j_of] = scale
         assert np.allclose(b.T @ b, np.eye(sector_dim(n)), atol=1e-15, rtol=0)
         assert np.array_equal(mirror @ b, b)
-        assert np.abs(block - b.T @ ising_hamiltonian(n, g, h) @ b).max() <= 1e-13
+        assert np.abs(block - b.T @ ham @ b).max() <= 1e-13
         for pol in ("z", "y"):
             psi = polarized_state(n, pol)
             assert np.allclose(b @ (b.T @ psi), psi, atol=1e-14, rtol=0)
+        # without the mirror every index is its own column, P = I and the block is H
+        block, j_of, scale = spinchain._ising_block(n, g, h, mirror=False)
+        assert np.array_equal(j_of, np.arange(2**n))
+        assert np.array_equal(scale, np.ones(2**n))
+        assert np.abs(block - ham).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [4, 5, 10])
@@ -244,7 +252,7 @@ def test_distance_scaling_dilated_path():
         assert row["hs_distance"] <= 5.0 * row["bound"]
 
 
-def test_distance_scaling_validation():
+def test_distance_scaling_validation(monkeypatch):
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 0, 1.0, [10], 1, 0)
     with pytest.raises(ValueError):
@@ -257,6 +265,10 @@ def test_distance_scaling_validation():
         distance_scaling_experiment(4, 4, 1, 1.0, [], 1, 0)
     with pytest.raises(ValueError):
         distance_scaling_experiment(4, 4, 1, 1.0, [0], 1, 0)
+    monkeypatch.setattr(spinchain, "unitary_evolution", refuse_eigensolve)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            distance_scaling_experiment(4, 4, 1, t, [10], 1, 0)
 
 
 def _reduced_state(n, n_b, t):

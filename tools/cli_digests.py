@@ -7,12 +7,14 @@ SEED (bench/workloads.py, read only) in a temporary directory, runs every
 workload command there, plus an all-pairs `otoc` (500 pairs, seed 5),
 `inspect` of the Kraus and the unitary input, two `scaling` runs of the
 dilated chain (8 spins, input on the first 4 or on none, output on the
-first 2) and a y-polarized `thermalize` of an odd chain (9 spins, observable
-sigma_z, t up to 2), the last three with SEED as their master seed, each
-as `python -m randual` from this checkout's src with RANDUAL_THREADS=1 and
-the BLAS thread variables unset. Prints one `name sha256[:16]` line per result file; two
-checkouts print the same lines exactly when their result files are
-byte-identical.
+first 2), a `scaling` run of an odd chain at non-default fields (7 spins,
+input on the first 3, output on the first 2, g = 0.6, h = -1.3) and a
+y-polarized `thermalize` of an odd chain (9 spins, observable sigma_z, t up
+to 2), the last four with SEED as their master seed, each as
+`python -m randual` from this checkout's src with RANDUAL_THREADS=1 and the
+BLAS thread variables unset. Prints one `name sha256[:16]` line per result
+file; two checkouts print the same lines exactly when their result files
+are byte-identical.
 """
 from __future__ import annotations
 
@@ -61,6 +63,12 @@ def main(seed: int) -> None:
                 "--seed", str(seed), "--output-dir", str(out),
             ]  # fmt: skip
             run(f"scaling-na{na}", argv, out / "scaling.csv")
+        out = work / "scaling-n7"
+        argv = [
+            "scaling", "--n", "7", "--na", "3", "--nb", "2", "--g", "0.6", "--h", "-1.3", "--n-values", "10,50",
+            "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("scaling-n7", argv, out / "scaling.csv")
         out = work / "thermalize-n9"
         argv = [
             "thermalize", "--n", "9", "--pol", "y", "--obs", "z", "--t-max", "2",

@@ -286,8 +286,8 @@ def cmd_inspect(args: argparse.Namespace) -> None:
 
 def cmd_estimate(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
-    # rows for the dense A; the variance bound's d_a x d_a products fit in the unitary
-    ch, a, b = _channel_inputs(args, args.n_samples, "state_rows")
+    # no rows: a dense A's B(VA) and d_env^2 M, like the variance bound's products, fit in the unitary
+    ch, a, b = _channel_inputs(args, args.n_samples)
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
     path = _write_result(args, t0, "estimate.json", asdict(rep))

@@ -47,7 +47,8 @@ dilated to one by stinespring_dilate. When the ancilla is larger than one
 dimension, the samples projected onto its reference vector (with a
 compensating sqrt factor) are normalized only in expectation but average to
 the exact dual. Ensembles keep the Haar draws: rows are formed on first
-use; a rank-1 A and the OTOC read the draws.
+use, by the rank-N estimator and the distances; observables and the OTOC
+read the draws.
 """
 from __future__ import annotations
 
@@ -274,9 +275,13 @@ def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.nd
     Their mean estimates tr[X(A) B]; their spread is the ensemble's
     intrinsic statistical error for this observable pair. A is a Hermitian
     d_a x d_a matrix, or a length-d_a vector v meaning A = |v><v|, read
-    against the draws psi_k, never the rows: with Phi = V v as (d_b, d_env)
-    for the kept isometry columns V, y = sqrt(nu / d_b) psi conj(Phi)^T and
-    x_k = d_a sum_rs conj(y_kr) B_sr y_ks, one mat-vec plus O(N d_env d_b).
+    against the draws psi_k, never the rows; V are the kept isometry
+    columns, (d_b, d_env, d_a). For a vector, Phi = V v as (d_b, d_env),
+    y = sqrt(nu / d_b) psi conj(Phi)^T and x_k = d_a sum_rs conj(y_kr) B_sr
+    y_ks: one mat-vec plus O(N d_env d_b). For a matrix,
+    x_k = d_a (nu / d_b) psi_k^dag M psi_k with the d_env x d_env
+    M[e, f] = sum V[r,e,i] B[s,r] A[i,j] conj(V[s,f,j]), formed once from
+    X = B (V A) (conjugated in place): O(N d_env^2) plus that one-off product.
     """
     a, b = _observables(a, b, ens.d_a, ens.d_b)
     if a.ndim == 1:
@@ -285,8 +290,11 @@ def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.nd
         y *= np.sqrt(ens._nu / ens.d_b)
         vals = np.einsum("kr,kr->k", y.conj(), y @ b)
     else:
-        s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)
-        vals = np.einsum("kri,sr,ij,ksj->k", s.conj(), b, a, s, optimize=True)
+        x = b @ (ens._cols.reshape(-1, ens.d_a) @ a).reshape(ens.d_b, -1)
+        np.conjugate(x, out=x)
+        m_conj = np.matmul(x.reshape(ens._cols.shape), ens._cols.transpose(0, 2, 1)).sum(0)
+        y = ens.draws @ m_conj  # y[k, f] = conj(psi_k^dag M)[f]
+        vals = np.einsum("kf,kf->k", np.conjugate(y, out=y), ens.draws) * (ens._nu / ens.d_b)
     return ens.d_a * vals.real
 
 

@@ -337,3 +337,12 @@ def otoc_overlaps_oracle(spec, ens):
     o = np.kron(spec.b.T, spec.a)
     s = ens.states
     return spec.channel.d_a**2 * np.abs(s.conj() @ o @ s.T) ** 2
+
+
+def dense_values_oracle(ens, a, b):
+    """Per-sample values d_a <Psi_k|(B^t (x) A)|Psi_k> of a dense A over the
+    full rows ens.states, one einsum: the reference for the draw reading of
+    sample_values. Forms the rows."""
+    s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)
+    vals = np.einsum("kri,sr,ij,ksj->k", s.conj(), b, a, s, optimize=True)
+    return ens.d_a * vals.real

@@ -687,18 +687,21 @@ def priced_inputs(tmp_path_factory):
         ["inspect", "kraus256.json"],
         ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
          "--n-samples", "200"],
+        ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
+         "--n-samples", "2049"],
         ["otoc", "unitary256-16.json", "--observable-a", "a256.json", "--observable-b", "b16.json",
          "--pairs", "2049"],
         # 40000 states are 2.4 MiB of rows; the all-pairs trace holds no pair table
         ["otoc", "unitary4-2.json", "--observable-a", "a4.json", "--observable-b", "b2.json",
          "--pairs", "20000", "--pairing", "all"],
     ],
-    ids=["inspect-dilation", "estimate-exact-dual", "otoc-rows", "all-pairs-overlaps"],
+    ids=["inspect-dilation", "estimate-exact-dual", "estimate-rows", "otoc-rows", "all-pairs-overlaps"],
 )  # fmt: skip
 def test_channel_commands_run_where_the_old_price_refused(argv, priced_inputs, tmp_path):
     # each exited 3 while its command priced an array it never builds: the
-    # 8192^2 dilation, the 8192^2 exact dual, 4098 rows of 4096 entries
-    # (2^28.0 bytes, one pair past the budget) and the pair-overlap block
+    # 8192^2 dilation, the 8192^2 exact dual, 2049 rows of 8192 entries (one
+    # row past the budget), 4098 rows of 4096 entries (2^28.0 bytes, one pair
+    # past the budget) and the pair-overlap block
     argv = [str(priced_inputs / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
 
@@ -721,9 +724,9 @@ def _unbuilt(cls, name, shape, **fields):
         # one 1 x 4097 operator: its d_a x d_a Gram is one row past the budget
         (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (1, 1, 4097)), "kraus gram"),
         (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1, d_a=4097), "unitary"),
-        # 2049 rows of 32 x 256 entries: one row past the budget
-        (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2049"],
-         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32, d_a=256), "state rows"),
+        # 2^21 + 1 draws of d_env = 256 / 32 = 8 entries: one draw past the budget
+        (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2097153"],
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32, d_a=256), "haar draws"),
         # 2^16 + 2 blocks of 256 entries: one pair past the budget
         (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
          _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16, d_a=256), "row blocks"),
@@ -739,25 +742,29 @@ def test_channel_commands_refuse_one_past_their_largest_entry(
     assert f"the {entry} needs" in capsys.readouterr().err
 
 
-def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch):
-    # 16 -> 4, r = 4: N = 100000 rows of d_b * d_a = 64 entries take 2^26.6
-    # bytes, under the budget; sampling is stubbed so none are built
+def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch, capsys):
+    # 16 -> 4, r = 4: the draws are d_env = 64 / 4 = 16 wide, so 2^20 of them
+    # take exactly the budget and one more is refused; no rows are priced,
+    # though 2^20 rows of d_b * d_a = 64 entries would take four times the
+    # budget. Sampling is stubbed so nothing is built
     path = tmp_path / "kraus.json"
     save_channel(random_kraus_channel(np.random.default_rng(0), 16, 4, 4), str(path))
     sampled = []
     monkeypatch.setattr(cli, "dual_ensemble", lambda ch, n, seed: sampled.append(n))
-    monkeypatch.setattr(
-        cli, "estimate_observable", lambda ens, a, b: EstimatorReport(0.0, 0.0, None, 0.0, 100000)
-    )
-    code = cli.main([
-        "estimate", str(path),
-        "--observable-a", mat_json(np.eye(16)),
-        "--observable-b", mat_json(np.eye(4)),
-        "--n-samples", "100000",
-        "--output-dir", str(tmp_path / "out"),
-    ])  # fmt: skip
-    assert code == 0
-    assert sampled == [100000]
+    monkeypatch.setattr(cli, "estimate_observable", lambda ens, a, b: EstimatorReport(0.0, 0.0, None, 0.0, 2**20))
+    codes = [
+        cli.main([
+            "estimate", str(path),
+            "--observable-a", mat_json(np.eye(16)),
+            "--observable-b", mat_json(np.eye(4)),
+            "--n-samples", str(n),
+            "--output-dir", str(tmp_path / "out"),
+        ])
+        for n in (2**20, 2**20 + 1)
+    ]  # fmt: skip
+    assert codes == [0, 3]
+    assert sampled == [2**20]
+    assert "the haar draws needs" in capsys.readouterr().err
 
 
 def test_budget_prices_absurd_site_counts_without_big_ints(tmp_path):

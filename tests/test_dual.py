@@ -35,6 +35,7 @@ from helpers import (
     apply_channel_oracle,
     batch_states_oracle,
     choi_matrix,
+    dense_values_oracle,
     depolarizing,
     dual_from_choi,
     full_dilation_rows_oracle,
@@ -288,32 +289,66 @@ def test_unitary_channel_values_are_the_partial_trace_values_of_the_rotated_vect
     assert abs(variance_bound(keep, u @ v, b) - variance_bound(ch, v, b)) <= 1e-12
 
 
-def _rank1_kinds():
+def _sampling_kinds():
     rng = np.random.default_rng(51)
     unitary = random_unitary_channel(16, 4, rng)
     return {
         "unitary": unitary,
         "kraus r<d": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d_a = 8
-        "kraus r>d": random_kraus_channel(rng, 2, 2, 6),  # r = 6 > d_b * d_a = 4
+        "kraus r>d": random_kraus_channel(rng, 2, 2, 6),  # r = 6 > d_b * d_a = 4, so d_env = 6 > 4 too
         "dilated": UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),
         "trivially dilated": stinespring_dilate(unitary),
+        "unitary d_b=1": random_unitary_channel(8, 1, rng),
     }
 
 
 @pytest.mark.parametrize("kind", ["unitary", "kraus r<d", "kraus r>d", "dilated", "trivially dilated"])
 def test_rank1_values_from_draws_match_rows(kind):
-    # the vector branch reads the draws; the dense |v><v| branch reads the rows
-    ch = _rank1_kinds()[kind]
+    # the vector and the dense |v><v| branch both read the draws; the rows
+    # oracle is the reference for each
+    ch = _sampling_kinds()[kind]
     rng = np.random.default_rng(52)
     v = _random_vector(rng, ch.d_a, True)
     b = random_hermitian(rng, ch.d_b)
     b /= np.abs(np.linalg.eigvalsh(b)).max()
     ens = dual_ensemble(ch, 40, master_seed=53)
     got = sample_values(ens, v, b)
+    dense = sample_values(ens, np.outer(v, v.conj()), b)
     assert "states" not in vars(ens)
-    want = sample_values(ens, np.outer(v, v.conj()), b)
-    assert "states" in vars(ens)
+    want = dense_values_oracle(ens, np.outer(v, v.conj()), b)
     assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(dense - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(_sampling_kinds()))
+def test_dense_values_from_draws_match_rows_oracle(kind):
+    # x_k = d_a (nu / d_b) psi_k^dag M psi_k with the d_env-square M formed
+    # once: the rows' einsum to rounding, and no rows are formed
+    ch = _sampling_kinds()[kind]
+    rng = np.random.default_rng(58)
+    a, b = random_hermitian(rng, ch.d_a), random_hermitian(rng, ch.d_b)
+    ens = dual_ensemble(ch, 60, master_seed=59)
+    got = sample_values(ens, a, b)
+    assert "states" not in vars(ens)
+    want = dense_values_oracle(ens, a, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_dense_values_peak_is_a_fraction_of_the_rows():
+    # unitary 256/4, N = 5000: the rows would take N d_b d_a 16 bytes, 78 MiB;
+    # the draw reading holds N x d_env = 64 products and the isometry-sized X
+    ch = random_unitary_channel(256, 4, np.random.default_rng(60))
+    rng = np.random.default_rng(61)
+    a, b = random_hermitian(rng, ch.d_a), random_hermitian(rng, ch.d_b)
+    ens = dual_ensemble(ch, 5000, master_seed=62)
+    tracemalloc.start()
+    try:
+        sample_values(ens, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "states" not in vars(ens)
+    assert peak < 5000 * ch.d_b * ch.d_a * 16 / 4
 
 
 def test_rank1_estimate_never_forms_rows():

@@ -4,13 +4,15 @@
 
 Builds the inputs of the benchmark's `quench` and `distance` workloads for
 SEED (bench/workloads.py, read only) in a temporary directory, runs every
-workload command there, plus an all-pairs `otoc` (500 pairs, seed 5),
-`inspect` of the Kraus and the unitary input, two `scaling` runs of the
-dilated chain (8 spins, input on the first 4 or on none, output on the
-first 2), a `scaling` run of an odd chain at non-default fields (7 spins,
-input on the first 3, output on the first 2, g = 0.6, h = -1.3) and a
-y-polarized `thermalize` of an odd chain (9 spins, observable sigma_z, t up
-to 2), the last four with SEED as their master seed, each as
+workload command there, plus an all-pairs `otoc` (500 pairs, seed 5), an
+`estimate` on the unitary input with the otoc observables as a dense A and
+B (2000 samples, seed SEED), `inspect` of the Kraus and the unitary input,
+two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
+on none, output on the first 2), a `scaling` run of an odd chain at
+non-default fields (7 spins, input on the first 3, output on the first 2,
+g = 0.6, h = -1.3) and a y-polarized `thermalize` of an odd chain (9 spins,
+observable sigma_z, t up to 2), the last four with SEED as their master
+seed, each as
 `python -m randual` from this checkout's src with RANDUAL_THREADS=1 and the
 BLAS thread variables unset. Prints one `name sha256[:16]` line per result
 file; two checkouts print the same lines exactly when their result files
@@ -54,6 +56,13 @@ def main(seed: int) -> None:
             "--pairing", "all", "--pairs", "500", "--seed", "5", "--output-dir", str(out),
         ]  # fmt: skip
         run("otoc-all", argv, out / "otoc.json")
+        out = work / "estimate-unitary"
+        argv = [
+            "estimate", str(work / "unitary.json"),
+            "--observable-a", str(work / "otoc_a.json"), "--observable-b", str(work / "otoc_b.json"),
+            "--n-samples", "2000", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("estimate-unitary", argv, out / "estimate.json")
         for name, spec in (("inspect-kraus", "kraus.json"), ("inspect-unitary", "unitary.json")):
             run(name, ["inspect", str(work / spec), "--output-dir", str(work / name)], work / name / "report.json")
         for na in ("4", "0"):

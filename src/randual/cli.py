@@ -286,7 +286,7 @@ def cmd_inspect(args: argparse.Namespace) -> None:
 
 def cmd_estimate(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
-    # no rows: a dense A's B(VA) and d_env^2 M, like the variance bound's products, fit in the unitary
+    # no rows: X = B(VA), d_u d_a, and the d_env^2 M that the values and the exact variance form fit in the unitary
     ch, a, b = _channel_inputs(args, args.n_samples)
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)

@@ -28,8 +28,10 @@ factor, and the rank-N estimator
 
 converges to rho_X with Hilbert-Schmidt error bounded by 1/sqrt(N) in
 expectation, independent of dimension. Observables never need the matrix
-estimator: the per-sample values x_k = d_a <Psi_k|(B^t (x) A)|Psi_k> average
-to tr[X(A) B] with a variance that carries its own computable bound.
+estimator: the per-sample values x_k = d_a <Psi_k|(B^t (x) A)|Psi_k> are a
+Haar quadratic form m psi_k^dag M psi_k in the draws, which average to
+tr[X(A) B] with an exact variance, (m tr M^2 - (tr M)^2) / (m + 1), for
+every channel kind.
 
 Distances to the exact dual need it only when it is small. With
 rho_X = W W^dag (exact_dual_factor, r columns) and S the samples as rows,
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, KrausChannel, UnitaryChannel, dilation_dim, kind_of, kraus_operators, stinespring_dilate
+from .channels import Channel, KrausChannel, dilation_dim, kind_of, kraus_operators, stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
@@ -96,11 +98,8 @@ class DualStateEnsemble:
             raise ValueError(f"draws must be a nonempty (N, d_env = {d_env}) stack, got shape {p.shape}")
         object.__setattr__(self, "draws", p)
         object.__setattr__(self, "kind", KIND_UNITARY if kind_of(ch) == KIND_UNITARY else KIND_POSTSELECTED)
-        u = stinespring_dilate(ch).unitary if isinstance(ch, KrausChannel) else ch.unitary
-        # The kept columns, (d_b, d_env, d_a), are copied contiguous (a no-op when
-        # nu == 1) so matmul stays on BLAS and each row keeps the full product's bits.
-        cols = u.reshape(ch.d_b, d_env, ch.d_a, self._nu)[..., 0]
-        object.__setattr__(self, "_cols", np.ascontiguousarray(cols))
+        # the kept columns, (d_b, d_env, d_a), of a KrausChannel's dilation
+        object.__setattr__(self, "_cols", _isometry(stinespring_dilate(ch) if isinstance(ch, KrausChannel) else ch))
 
     @property
     def d_a(self) -> int:
@@ -146,7 +145,7 @@ class EstimatorReport:
     """Observable estimate with its statistical error scales.
 
     sigma_n is the standard error of the mean, from the empirical sigma when
-    at least two samples exist and from the analytic bound otherwise.
+    at least two samples exist and from analytic_sigma_bound otherwise.
     """
 
     estimate: float
@@ -269,6 +268,30 @@ def _check_projector(p: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a rank-1 projector ({name}^2 = {name}, tr {name} = 1)")
 
 
+def _isometry(ch: Channel) -> np.ndarray:
+    """The kept isometry columns V, (d_b, r, d_a), with no dilation: a
+    UnitaryChannel's ancilla-0 columns (r = d_c) or a KrausChannel's stack
+    transposed (r operators; its dilation pads them with zero slots to d_env).
+    Contiguous, a copy only for a larger ancilla, so matmul stays on BLAS."""
+    if isinstance(ch, KrausChannel):
+        return np.ascontiguousarray(ch.operators.transpose(1, 0, 2))
+    return np.ascontiguousarray(ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a, ch.ancilla_dim)[..., 0])
+
+
+def _quadratic_form(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A and B checked against V = cols, (d_b, r, d_a), with Phi = V a as (d_b, r)
+    for a vector A, else conj(M) for the r x r M[e, f] = sum V[r,e,i] B[s,r]
+    A[i,j] conj(V[s,f,j]), formed from X = B (V A), conjugated in place."""
+    d_b, _, d_a = cols.shape
+    a, b = _observables(a, b, d_a, d_b)
+    va = (cols.reshape(-1, d_a) @ a).reshape(d_b, -1)
+    if a.ndim == 1:
+        return a, b, va
+    x = b @ va
+    np.conjugate(x, out=x)
+    return a, b, np.matmul(x.reshape(cols.shape), cols.transpose(0, 2, 1)).sum(0)
+
+
 def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-sample estimates x_k = d_a <Psi_k|(B^t (x) A)|Psi_k>, as reals.
 
@@ -276,24 +299,19 @@ def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.nd
     intrinsic statistical error for this observable pair. A is a Hermitian
     d_a x d_a matrix, or a length-d_a vector v meaning A = |v><v|, read
     against the draws psi_k, never the rows; V are the kept isometry
-    columns, (d_b, d_env, d_a). For a vector, Phi = V v as (d_b, d_env),
+    columns, (d_b, d_env, d_a), and x_k = m psi_k^dag M psi_k with
+    m = d_env = d_a nu / d_b and M as in _quadratic_form. For a vector,
     y = sqrt(nu / d_b) psi conj(Phi)^T and x_k = d_a sum_rs conj(y_kr) B_sr
-    y_ks: one mat-vec plus O(N d_env d_b). For a matrix,
-    x_k = d_a (nu / d_b) psi_k^dag M psi_k with the d_env x d_env
-    M[e, f] = sum V[r,e,i] B[s,r] A[i,j] conj(V[s,f,j]), formed once from
-    X = B (V A) (conjugated in place): O(N d_env^2) plus that one-off product.
+    y_ks: one mat-vec plus O(N d_env d_b). For a matrix, M is formed once:
+    O(N d_env^2) plus that one-off product.
     """
-    a, b = _observables(a, b, ens.d_a, ens.d_b)
+    a, b, form = _quadratic_form(ens._cols, a, b)
     if a.ndim == 1:
-        phi = (ens._cols.reshape(-1, ens.d_a) @ a).reshape(ens.d_b, -1)
-        y = ens.draws @ phi.conj().T
+        y = ens.draws @ form.conj().T
         y *= np.sqrt(ens._nu / ens.d_b)
         vals = np.einsum("kr,kr->k", y.conj(), y @ b)
     else:
-        x = b @ (ens._cols.reshape(-1, ens.d_a) @ a).reshape(ens.d_b, -1)
-        np.conjugate(x, out=x)
-        m_conj = np.matmul(x.reshape(ens._cols.shape), ens._cols.transpose(0, 2, 1)).sum(0)
-        y = ens.draws @ m_conj  # y[k, f] = conj(psi_k^dag M)[f]
+        y = ens.draws @ form  # y[k, f] = conj(psi_k^dag M)[f]
         vals = np.einsum("kf,kf->k", np.conjugate(y, out=y), ens.draws) * (ens._nu / ens.d_b)
     return ens.d_a * vals.real
 
@@ -303,15 +321,11 @@ def estimate_observable(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) ->
 
     A is a Hermitian matrix or a vector v meaning A = |v><v|, as in
     sample_values and variance_bound. empirical_sigma is the ddof=1 sample
-    deviation (nan for a single sample); analytic_sigma_bound is the
-    intrinsic-variance bound, available for unitary-induced ensembles only.
-    sigma_n divides whichever of the two is usable by sqrt(N).
+    deviation (nan for a single sample); analytic_sigma_bound is the exact
+    single-sample sigma, sqrt(variance_bound). sigma_n divides the first
+    that is usable by sqrt(N).
     """
-    vals = sample_values(ens, a, b)
-    bound = None
-    if ens.kind == KIND_UNITARY:
-        bound = float(np.sqrt(variance_bound(ens.channel, a, b)))
-    return _mean_report(vals, bound)
+    return _mean_report(sample_values(ens, a, b), float(np.sqrt(variance_bound(ens.channel, a, b))))
 
 
 def _mean_report(vals: np.ndarray, bound: float | None = None) -> EstimatorReport:
@@ -328,52 +342,30 @@ def _mean_report(vals: np.ndarray, bound: float | None = None) -> EstimatorRepor
     )
 
 
-def variance_bound(ch: UnitaryChannel, a: np.ndarray, b: np.ndarray) -> float:
-    """Intrinsic-variance bound for the d_a-scaled per-sample values.
+def variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
+    """Exact variance of one sample value x = m psi^dag M psi, any channel kind.
 
-    With X = U A U^dag (B (x) I_c) on the input space, the single-sample
-    variance obeys
-
-        sigma^2 <= (d_a tr[X X^dag] - |tr X|^2) / (d_c + 1),
-
-    i.e. 1/(d_c+1) times the d_a^2-scaled variance of X with respect to the
-    maximally mixed state. B enters through its lift to the (d_b, d_c)
-    layout, which is what the per-sample quadratic form reduces to after
-    tracing the ancilla; the bound then follows from the second moment of
-    Haar states and a norm inequality on the partial trace. Vanishes when A
-    and B are both the identity.
-
-    A may be a vector v meaning A = |v><v|. Then X = |phi><phi| (B (x) I_c)
-    with phi = U v read as (d_b, d_c), and the numerator is exactly
-
-        d_a ||v||^2 ||(B (x) I_c) phi||^2 - |<phi|(B (x) I_c)|phi>|^2,
-
-    one mat-vec instead of a d^3 product. The subtracted term is at most
-    1/d_a of the first (Cauchy-Schwarz), so nothing cancels catastrophically;
-    the numerator is clamped at 0 against rounding when d_a = 1.
+    With psi Haar in m = dilation_dim(ch) // d_b dimensions and M the
+    Hermitian matrix of sample_values, E[psi psi^dag (x) psi psi^dag] =
+    (I + SWAP) / (m (m + 1)) gives Var x = (m tr M^2 - (tr M)^2) / (m + 1),
+    read as m ||M - c I||^2 / (m + 1), c = tr M / m: no cancellation when M
+    is close to c I (identities A, B on a unitary-induced channel), exactly
+    0 at m = 1 (a draw is a phase), clamped at 0 against rounding. The
+    formed p x p matrix stands for M with m - p more zero eigenvalues, each
+    adding |c|^2: M off V = _isometry(ch) (p = r), or for a vector A the
+    smaller of M = Phi^T B^T conj(Phi) and the d_b x d_b B^T conj(Phi) Phi^T,
+    which has M's nonzero spectrum. A vector costs one mat-vec V a plus
+    O(r d_b min(r, d_b)).
     """
-    if kind_of(ch) != KIND_UNITARY:
-        raise TypeError(f"variance_bound needs a unitary-induced channel, got {kind_of(ch)}")
-    a, b = _observables(a, b, ch.d_a, ch.d_b)
-    d_a, u = ch.d_a, ch.unitary
+    a, b, form = _quadratic_form(_isometry(ch), a, b)
+    m = dilation_dim(ch) // ch.d_b
     if a.ndim == 1:
-        phi = (u @ a).reshape(ch.d_b, ch.d_c)
-        b_phi = b @ phi
-        num = d_a * np.vdot(a, a).real * np.vdot(b_phi, b_phi).real - abs(np.vdot(phi, b_phi)) ** 2
-        return max(float(num), 0.0) / (ch.d_c + 1)
-    # Z = U^dag (B (x) I_c) and Y = A Z, so that X = U Y. Z^T is conj(B^dag U)
-    # read as (d_a, d_a), d_a^2 d_b work; Y^T = Z^T A^T is the one d^3 product.
-    z_t = b.conj().T @ u.reshape(ch.d_b, ch.d_c * d_a)
-    z_t = np.conjugate(z_t, out=z_t).reshape(d_a, d_a)
-    y_t = z_t @ a.T
-    # With c = tr X / d_a = sum_ij (Y^T)_ij U_ij / d_a, the numerator is
-    # d_a ||X - c I||_F^2 = d_a ||Y^T - c conj(U)||_F^2, a sum of squares that
-    # needs no cancellation when X is close to c I.
-    c = np.einsum("ij,ij->", y_t, u) / d_a
-    c_conj_u = np.conjugate(u, out=z_t)  # Z^T is no longer needed
-    c_conj_u *= c
-    y_t -= c_conj_u
-    return d_a * float(np.vdot(y_t, y_t).real) / (ch.d_c + 1)
+        form = form.T @ (b.T @ form.conj()) if form.shape[1] <= ch.d_b else b.T @ (form.conj() @ form.T)
+    p = form.shape[0]
+    c = np.trace(form) / m
+    form.flat[:: p + 1] -= c
+    num = np.einsum("ij,ji->", form, form).real + (m - p) * abs(c) ** 2
+    return m * max(float(num), 0.0) / (m + 1)
 
 
 def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:

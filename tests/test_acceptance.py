@@ -168,14 +168,17 @@ def test_criterion_5_variance_bounds():
     n_samples = 10_000
     margin_ok = True
     details = []
-    # general Hermitian pairs against the intrinsic-variance bound
-    for trial in range(10):
+    # general Hermitian pairs against the exact single-sample variance, on
+    # ten unitary-induced channels, one dilated and one Kraus channel
+    channels = [UnitaryChannel(haar_unitary((8, 16)[t % 2], 840 + t), d_b=(2, 4)[(t // 2) % 2]) for t in range(10)]
+    channels += [
+        UnitaryChannel(haar_unitary(32, 1840), d_a=16, d_b=4),
+        random_kraus_channel(np.random.default_rng(1841), 8, 4, 3),
+    ]
+    for trial, ch in enumerate(channels):
         rng = np.random.default_rng(830 + trial)
-        d_a = (8, 16)[trial % 2]
-        d_b = (2, 4)[(trial // 2) % 2]
-        ch = UnitaryChannel(haar_unitary(d_a, 840 + trial), d_b=d_b)
-        a = random_hermitian(rng, d_a)
-        b = random_hermitian(rng, d_b)
+        a = random_hermitian(rng, ch.d_a)
+        b = random_hermitian(rng, ch.d_b)
         vals = sample_values(dual_ensemble(ch, n_samples, master_seed=850 + trial), a, b)
         emp = float(np.var(vals, ddof=1))
         se = emp * np.sqrt(2.0 / (n_samples - 1))

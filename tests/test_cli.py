@@ -8,7 +8,7 @@ import pytest
 
 from randual import cli
 from randual.channels import KrausChannel, UnitaryChannel, channel_to_dict, save_channel, stinespring_dilate
-from randual.dual import EstimatorReport
+from randual.dual import EstimatorReport, variance_bound
 from randual.rng import haar_unitary
 
 from helpers import depolarizing, random_hermitian, random_kraus_channel, run_cli
@@ -278,6 +278,27 @@ def test_single_sample_estimate_writes_null_sigma(scrambler, tmp_path):
     data = _strict_json(tmp_path / "out" / "estimate.json")
     assert data["empirical_sigma"] is None
     assert np.isfinite(data["sigma_n"])
+
+
+@pytest.mark.parametrize("kind", ["kraus", "dilated"])
+def test_single_sample_estimate_uses_the_exact_sigma_on_every_kind(kind, tmp_path):
+    # one sample has no spread of its own: sigma_n is the exact single-sample
+    # sigma, which Kraus and dilated channels have as well
+    ch = {
+        "kraus": random_kraus_channel(np.random.default_rng(56), 4, 2, 3),
+        "dilated": UnitaryChannel(haar_unitary(8, 57), d_a=4, d_b=2),
+    }[kind]
+    save_channel(ch, str(tmp_path / "ch.json"))
+    a = random_hermitian(np.random.default_rng(58), 4)
+    argv = ["estimate", "ch.json", "--observable-a", mat_json(a), "--observable-b", SIGMA_Z_JSON]
+    res = run_cli(argv + ["--n-samples", "1", "--output-dir", "out"], cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "nan" not in res.stdout
+    data = _strict_json(tmp_path / "out" / "estimate.json")
+    assert data["empirical_sigma"] is None
+    assert data["sigma_n"] == data["analytic_sigma_bound"]
+    want = np.sqrt(variance_bound(ch, a, np.diag([1.0, -1.0])))
+    assert want > 0 and abs(data["sigma_n"] - want) <= 1e-12 * want
 
 
 def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):

@@ -6,7 +6,9 @@ Builds the inputs of the benchmark's `quench` and `distance` workloads for
 SEED (bench/workloads.py, read only) in a temporary directory, runs every
 workload command there, plus an all-pairs `otoc` (500 pairs, seed 5), an
 `estimate` on the unitary input with the otoc observables as a dense A and
-B (2000 samples, seed SEED), `inspect` of the Kraus and the unitary input,
+B (2000 samples, seed SEED), a one-sample `estimate` of the `estimate`
+command's Kraus input and observables (seed SEED), whose sigma is the exact
+one, `inspect` of the Kraus and the unitary input,
 two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
 on none, output on the first 2), a `scaling` run of an odd chain at
 non-default fields (7 spins, input on the first 3, output on the first 2,
@@ -63,6 +65,13 @@ def main(seed: int) -> None:
             "--n-samples", "2000", "--seed", str(seed), "--output-dir", str(out),
         ]  # fmt: skip
         run("estimate-unitary", argv, out / "estimate.json")
+        out = work / "estimate-kraus-n1"
+        argv = [
+            "estimate", str(work / "estimate_kraus.json"),
+            "--observable-a", str(work / "a.json"), "--observable-b", str(work / "b.json"),
+            "--n-samples", "1", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("estimate-kraus-n1", argv, out / "estimate.json")
         for name, spec in (("inspect-kraus", "kraus.json"), ("inspect-unitary", "unitary.json")):
             run(name, ["inspect", str(work / spec), "--output-dir", str(work / name)], work / name / "report.json")
         for na in ("4", "0"):

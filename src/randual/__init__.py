@@ -26,6 +26,7 @@ from . import channels, dual, linalg, otoc, rng, spinchain
 from .channels import (
     ChannelDiagnostics,
     KrausChannel,
+    PartialTrace,
     UnitaryChannel,
     apply_channel,
     channel_from_dict,

@@ -88,6 +88,26 @@ class UnitaryChannel:
         return self.d_u // self.d_b
 
 
+class PartialTrace(UnitaryChannel):
+    """UnitaryChannel(I, d_b) on d_a dimensions: the partial trace that keeps
+    the slowest d_b factor. The identity is formed only when .unitary is
+    read; sampling and observables read its isometry as a reshape."""
+
+    def __init__(self, d_a: int, d_b: int) -> None:
+        if d_a < 1 or d_b < 1 or d_a % d_b != 0:
+            raise ValueError(f"d_b={d_b} must divide d_a={d_a}")
+        object.__setattr__(self, "d_a", d_a)
+        object.__setattr__(self, "d_b", d_b)
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return np.eye(self.d_a, dtype=complex)
+
+    @property
+    def d_u(self) -> int:
+        return self.d_a
+
+
 Channel = KrausChannel | UnitaryChannel
 
 

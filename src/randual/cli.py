@@ -45,7 +45,9 @@ from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
+    KRYLOV_MAX,
     distance_scaling_experiment,
+    sector_dim,
     thermalization_experiment,
 )
 
@@ -329,9 +331,12 @@ def cmd_thermalize(args: argparse.Namespace) -> None:
         raise ConfigError("need t_step > 0 and t_max >= 0")
     # exact in rationals: t_max / t_step can overflow a float
     n_times = math.floor(Fraction(args.t_max + 1e-9) / Fraction(args.t_step)) + 1
+    # the Krylov basis: min(m, KRYLOV_MAX) + 1 vectors on the m-dimensional
+    # mirror-even sector; past 62 sites its bound (KRYLOV_MAX + 1) 2^n, priced as a pair
+    m = sector_dim(args.n) if args.n <= 62 else 0
     _check_budget(
         args.force,
-        dense_matrix=(1, 2 * args.n),
+        krylov_basis=(min(m, KRYLOV_MAX) + 1) * m if m else (KRYLOV_MAX + 1, args.n),
         haar_draws=(args.n_samples, args.n - 1),
         time_grid=n_times,
     )

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, KrausChannel, dilation_dim, kind_of, kraus_operators, stinespring_dilate
+from .channels import Channel, KrausChannel, PartialTrace, dilation_dim, kind_of, kraus_operators, stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
@@ -89,7 +89,7 @@ class DualStateEnsemble:
     master_seed: int
     channel: Channel
     kind: str = field(init=False)
-    _cols: np.ndarray = field(init=False, repr=False, compare=False)
+    _cols: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ch, p = self.channel, np.asarray(self.draws, dtype=complex)
@@ -98,7 +98,7 @@ class DualStateEnsemble:
             raise ValueError(f"draws must be a nonempty (N, d_env = {d_env}) stack, got shape {p.shape}")
         object.__setattr__(self, "draws", p)
         object.__setattr__(self, "kind", KIND_UNITARY if kind_of(ch) == KIND_UNITARY else KIND_POSTSELECTED)
-        # the kept columns, (d_b, d_env, d_a), of a KrausChannel's dilation
+        # the kept columns, (d_b, d_env, d_a), of a KrausChannel's dilation; None for the identity
         object.__setattr__(self, "_cols", _isometry(stinespring_dilate(ch) if isinstance(ch, KrausChannel) else ch))
 
     @property
@@ -131,8 +131,10 @@ class DualStateEnsemble:
 def _row_block(ens: DualStateEnsemble, m: int | slice) -> np.ndarray:
     """Block m of every row, states.reshape(N, d_b, d_a)[:, m], read off the
     draws as draws conj(V[m]) sqrt(nu / d_b): N d_env d_a work per block. A
-    slice of ancilla indices stacks its blocks first, (k, N, d_a)."""
-    block = np.matmul(ens.draws.conj(), ens._cols[m])
+    slice of ancilla indices stacks its blocks first, (k, N, d_a). A
+    PartialTrace's identity columns are formed here."""
+    cols = np.eye(ens.d_a, dtype=complex).reshape(ens.d_b, -1, ens.d_a) if ens._cols is None else ens._cols
+    block = np.matmul(ens.draws.conj(), cols[m])
     np.conjugate(block, out=block)
     block /= np.sqrt(ens.d_b)
     if ens._nu > 1:
@@ -268,27 +270,34 @@ def _check_projector(p: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be a rank-1 projector ({name}^2 = {name}, tr {name} = 1)")
 
 
-def _isometry(ch: Channel) -> np.ndarray:
+def _isometry(ch: Channel) -> np.ndarray | None:
     """The kept isometry columns V, (d_b, r, d_a), with no dilation: a
     UnitaryChannel's ancilla-0 columns (r = d_c) or a KrausChannel's stack
     transposed (r operators; its dilation pads them with zero slots to d_env).
-    Contiguous, a copy only for a larger ancilla, so matmul stays on BLAS."""
+    Contiguous, a copy only for a larger ancilla, so matmul stays on BLAS.
+    None for a PartialTrace, whose V is the identity and never formed."""
+    if isinstance(ch, PartialTrace):
+        return None
     if isinstance(ch, KrausChannel):
         return np.ascontiguousarray(ch.operators.transpose(1, 0, 2))
     return np.ascontiguousarray(ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a, ch.ancilla_dim)[..., 0])
 
 
-def _quadratic_form(cols: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A and B checked against V = cols, (d_b, r, d_a), with Phi = V a as (d_b, r)
-    for a vector A, else conj(M) for the r x r M[e, f] = sum V[r,e,i] B[s,r]
-    A[i,j] conj(V[s,f,j]), formed from X = B (V A), conjugated in place."""
-    d_b, _, d_a = cols.shape
+def _quadratic_form(ch: Channel, cols: np.ndarray | None, a: np.ndarray, b: np.ndarray):
+    """A and B checked against ch and V = cols, (d_b, r, d_a), with Phi = V a as
+    (d_b, r) for a vector A, else conj(M) for the r x r M[e, f] = sum V[r,e,i]
+    B[s,r] A[i,j] conj(V[s,f,j]), formed from X = B (V A), conjugated in place.
+    cols None is the identity (r = d_a / d_b): V a is a reshape of a, and M
+    sums the diagonal blocks X[s, (e, s, f)]."""
+    d_b, d_a = ch.d_b, ch.d_a
     a, b = _observables(a, b, d_a, d_b)
-    va = (cols.reshape(-1, d_a) @ a).reshape(d_b, -1)
+    va = (a if cols is None else cols.reshape(-1, d_a) @ a).reshape(d_b, -1)
     if a.ndim == 1:
         return a, b, va
     x = b @ va
     np.conjugate(x, out=x)
+    if cols is None:
+        return a, b, np.einsum("sesf->ef", x.reshape(d_b, d_a // d_b, d_b, d_a // d_b))
     return a, b, np.matmul(x.reshape(cols.shape), cols.transpose(0, 2, 1)).sum(0)
 
 
@@ -305,7 +314,7 @@ def sample_values(ens: DualStateEnsemble, a: np.ndarray, b: np.ndarray) -> np.nd
     y_ks: one mat-vec plus O(N d_env d_b). For a matrix, M is formed once:
     O(N d_env^2) plus that one-off product.
     """
-    a, b, form = _quadratic_form(ens._cols, a, b)
+    a, b, form = _quadratic_form(ens.channel, ens._cols, a, b)
     if a.ndim == 1:
         y = ens.draws @ form.conj().T
         y *= np.sqrt(ens._nu / ens.d_b)
@@ -354,10 +363,10 @@ def variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
     formed p x p matrix stands for M with m - p more zero eigenvalues, each
     adding |c|^2: M off V = _isometry(ch) (p = r), or for a vector A the
     smaller of M = Phi^T B^T conj(Phi) and the d_b x d_b B^T conj(Phi) Phi^T,
-    which has M's nonzero spectrum. A vector costs one mat-vec V a plus
-    O(r d_b min(r, d_b)).
+    which has M's nonzero spectrum. A vector costs one mat-vec V a (a
+    reshape on a PartialTrace) plus O(r d_b min(r, d_b)).
     """
-    a, b, form = _quadratic_form(_isometry(ch), a, b)
+    a, b, form = _quadratic_form(ch, _isometry(ch), a, b)
     m = dilation_dim(ch) // ch.d_b
     if a.ndim == 1:
         form = form.T @ (b.T @ form.conj()) if form.shape[1] <= ch.d_b else b.T @ (form.conj() @ form.T)

@@ -11,7 +11,7 @@ from randual.channels import KrausChannel, UnitaryChannel, channel_to_dict, save
 from randual.dual import EstimatorReport, variance_bound
 from randual.rng import haar_unitary
 
-from helpers import depolarizing, random_hermitian, random_kraus_channel, run_cli
+from helpers import depolarizing, random_hermitian, random_kraus_channel, run_cli, run_python
 
 SIGMA_Z_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[-1.0,0.0]]]"
 PROJ0_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]]"
@@ -444,7 +444,8 @@ def test_thermalize_manifest_records_the_share_of_rows_within_bound(tmp_path):
 
 
 def test_thermalize_site_cap(tmp_path):
-    res = run_cli(["thermalize", "--n", "13", "--pol", "z"], cwd=tmp_path)
+    # 17 sites: 481 Krylov vectors of 65,792 amplitudes take 2^28.9 bytes
+    res = run_cli(["thermalize", "--n", "17", "--pol", "z"], cwd=tmp_path)
     assert res.returncode == 3
     assert "exceeds" in res.stderr
 
@@ -582,7 +583,7 @@ def no_allocation(monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["thermalize", "--n", "13", "--pol", "z"],
+        ["thermalize", "--n", "17", "--pol", "z"],
         ["thermalize", "--n", "600", "--pol", "z"],
         ["scaling", "--n", "12"],
         ["thermalize", "--n", "4", "--pol", "z", "--t-step", "1e-9"],
@@ -591,7 +592,7 @@ def no_allocation(monkeypatch):
         ["dual-distance", "{isometry}"],
         ["inspect", "{row}"],
     ],
-    ids=["13-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
+    ids=["17-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
          "128x64-isometry", "1x8192-kraus-row"],
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
@@ -609,8 +610,14 @@ def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_p
 @pytest.mark.parametrize(
     "argv, code",
     [
+        # the Krylov basis, min(m, 480) + 1 vectors of the m-dimensional
+        # mirror-even sector: 2^23.9 bytes at 12 sites, 2^27.9 at 16, 2^28.9 at 17
         (["thermalize", "--n", "12", "--pol", "z"], 0),
         (["thermalize", "--n", "13", "--pol", "z", "--force"], 0),
+        (["thermalize", "--n", "13", "--pol", "z"], 0),
+        (["thermalize", "--n", "16", "--pol", "z"], 0),
+        (["thermalize", "--n", "17", "--pol", "z"], 3),
+        (["thermalize", "--n", "17", "--pol", "z", "--force"], 0),
         (["scaling", "--n", "11"], 0),
         (["scaling", "--n", "13"], 3),
         (["scaling", "--n", "13", "--force"], 0),
@@ -619,7 +626,8 @@ def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_p
         (["thermalize", "--n", "10", "--pol", "z", "--n-samples", "32768", "--t-max", "0"], 0),
         (["scaling", "--n", "12", "--na", "1", "--nb", "1", "--n-values", "8192"], 0),
     ],
-    ids=["12-sites", "13-sites-forced", "scaling-11-sites", "scaling-13-sites",
+    ids=["12-sites", "13-sites-forced", "13-sites", "16-sites", "17-sites", "17-sites-forced",
+         "scaling-11-sites", "scaling-13-sites",
          "scaling-13-sites-forced", "split-out-of-range", "thermalize-draws-at-budget",
          "scaling-draws-at-budget"],
 )  # fmt: skip
@@ -659,6 +667,36 @@ def test_thermalize_holds_draws_not_rows(tmp_path):
     assert code == 0
     assert peak < cli.MAX_UNFORCED_BYTES
 
+
+
+def test_thermalize_prices_the_krylov_basis(monkeypatch, tmp_path):
+    priced = {}
+    check_budget = cli._check_budget
+
+    def recording(force, **elements):
+        priced.update(elements)
+        check_budget(force, **elements)
+
+    monkeypatch.setattr(cli, "_check_budget", recording)
+    monkeypatch.setattr(cli, "thermalization_experiment", lambda **kwargs: [])
+    for n, m in [(3, 6), (10, 528), (16, 32896)]:
+        assert cli.main(["thermalize", "--n", str(n), "--pol", "z", "--output-dir", str(tmp_path)]) == 0
+        assert priced == {"krylov_basis": (min(m, 480) + 1) * m, "haar_draws": (200, n - 1), "time_grid": 41}
+    assert cli.main(["thermalize", "--n", "63", "--pol", "z", "--output-dir", str(tmp_path), "--force"]) == 0
+    assert priced["krylov_basis"] == (481, 63)
+
+
+def test_thermalize_holds_no_identity(tmp_path):
+    # 12 sites: the partial trace's 4096 x 4096 identity would take 256 MiB
+    tracemalloc.start()
+    try:
+        code = cli.main(["thermalize", "--n", "12", "--pol", "z", "--n-samples", "50", "--t-max", "0",
+                         "--output-dir", str(tmp_path)])  # fmt: skip
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 64 * 2**20
 
 def test_budget_boundary_and_force():
     # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b, and
@@ -921,3 +959,13 @@ def test_reruns_at_two_threads_are_byte_identical(which, tmp_path):
         outputs.append(((cwd / "out" / produced).read_bytes(), _strip_clock(cwd / "out" / "manifest.json")))
     assert outputs[0] == outputs[1]
     assert outputs[0][1]["environment"]["threads"] == TWO_THREADS
+
+
+def test_importing_the_package_loads_no_cli_machinery(tmp_path):
+    # `import randual` is on every command's start-up path: the CLI, its
+    # argument parsing, CSV and hashing, and numpy's random module stay unloaded
+    heavy = ["argparse", "csv", "hashlib", "secrets", "numpy.random", "randual.cli"]
+    code = f"import sys, randual; print([m for m in {heavy!r} if m in sys.modules])"
+    res = run_python(["-c", code], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

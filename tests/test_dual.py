@@ -6,9 +6,14 @@ import pytest
 
 from randual.channels import (
     KrausChannel,
+    PartialTrace,
     UnitaryChannel,
     apply_channel,
+    dilation_dim,
+    kind_of,
+    kraus_operators,
     stinespring_dilate,
+    validate_channel,
 )
 from randual import dual
 from randual.dual import (
@@ -322,6 +327,43 @@ def test_unitary_channel_values_are_the_partial_trace_values_of_the_rotated_vect
     assert np.abs(got - want).max() <= 1e-12
     assert abs(variance_bound(keep, u @ v, b) - variance_bound(ch, v, b)) <= 1e-12
 
+
+
+@pytest.mark.parametrize("d_b", [2, 4])
+def test_partial_trace_reads_its_identity_as_the_dense_unitary(d_b):
+    # PartialTrace(256, d_b) never forms its identity for observables; draw by
+    # draw it gives the values, variances and rows of UnitaryChannel(I, d_b)
+    rng = np.random.default_rng(70 + d_b)
+    keep, dense = PartialTrace(256, d_b), UnitaryChannel(np.eye(256), d_b=d_b)
+    assert kind_of(keep) == "unitary_induced" and dilation_dim(keep) == 256 and keep.d_c == 256 // d_b
+    assert dual._isometry(keep) is None
+    assert np.array_equal(kraus_operators(keep), kraus_operators(dense))
+    assert validate_channel(keep).is_valid
+    fast, slow = dual_ensemble(keep, 30, master_seed=71), dual_ensemble(dense, 30, master_seed=71)
+    assert np.array_equal(fast.draws, slow.draws)
+    b = random_hermitian(rng, d_b)
+    for a in (_random_vector(rng, 256, False), random_hermitian(rng, 256)):
+        assert np.abs(sample_values(fast, a, b) - sample_values(slow, a, b)).max() <= 1e-12
+        assert abs(variance_bound(keep, a, b) - variance_bound(dense, a, b)) <= 1e-12
+    assert np.array_equal(fast.states, slow.states)
+    with pytest.raises(ValueError, match="must divide"):
+        PartialTrace(6, 4)
+
+
+def test_partial_trace_vector_values_allocate_no_identity():
+    # d_a = 1024: the identity would take 16 MiB; the values and the variance
+    # of a vector read its reshape
+    keep, rng = PartialTrace(1024, 2), np.random.default_rng(72)
+    v, b = _random_vector(rng, 1024, True), random_hermitian(rng, 2)
+    ens = dual_ensemble(keep, 50, master_seed=73)
+    tracemalloc.start()
+    try:
+        sample_values(ens, v, b)
+        variance_bound(keep, v, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 def _sampling_kinds():
     rng = np.random.default_rng(51)

@@ -1,4 +1,6 @@
 """Ising chain builder and the quench experiments."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -164,15 +166,17 @@ def test_thermalization_vector_observable_matches_dense_reference(n, pol, extra)
     # the experiment evolves psi_0 on the mirror-even sector and samples the
     # partial trace with psi_t; the reference diagonalizes the dense H, forms
     # U(t), samples its channel and the dense |psi_0><psi_0|
-    run = {"n": n, "polarization": pol, "times": np.array([0.0, 0.75, 2.5]), "n_samples": 50, "seed": 21, **extra}
+    times = np.array([0.0, 0.75, 2.5])
+    _matches_oracle({"n": n, "polarization": pol, "times": times, "n_samples": 50, "seed": 21, **extra})
+
+
+def _matches_oracle(run):
     rows = thermalization_experiment(**run)
     want = thermalization_dense_oracle(**run)
-    assert len(rows) == len(want)
+    assert [r["time"] for r in rows] == [r["time"] for r in want]
     for row, ref in zip(rows, want):
-        assert row["time"] == ref["time"]
-        assert abs(row["exact"] - ref["exact"]) <= 1e-12
-        assert abs(row["estimate"] - ref["estimate"]) <= 1e-12
-        assert abs(row["sigma_n"] - ref["sigma_n"]) <= 1e-12
+        for key in ("exact", "estimate", "sigma_n"):
+            assert abs(row[key] - ref[key]) <= 1e-12, (row["time"], key)
 
 
 def sector_dim(n):
@@ -187,7 +191,9 @@ def test_mirror_even_block_is_the_dense_hamiltonian_on_its_sector(n):
         mirror[int(format(x, f"0{n}b")[::-1], 2), x] = 1.0
     for g, h in np.random.default_rng(n).uniform(-2.0, 2.0, size=(2, 2)):
         ham = ising_bruteforce(n, g, h).real
-        block, j_of, scale = spinchain._ising_block(n, g, h, mirror=True)
+        diag, flips, weights, j_of, scale = spinchain._ising_block(n, g, h, mirror=True)
+        assert diag.size == spinchain.sector_dim(n) == sector_dim(n)
+        block = sector_block(diag, flips, weights)
         # the dense isometry B: column j_of[x] holds scale[x] at row x
         b = np.zeros((2**n, sector_dim(n)))
         b[np.arange(2**n), j_of] = scale
@@ -198,23 +204,80 @@ def test_mirror_even_block_is_the_dense_hamiltonian_on_its_sector(n):
             psi = polarized_state(n, pol)
             assert np.allclose(b @ (b.T @ psi), psi, atol=1e-14, rtol=0)
         # without the mirror every index is its own column, P = I and the block is H
-        block, j_of, scale = spinchain._ising_block(n, g, h, mirror=False)
+        diag, flips, weights, j_of, scale = spinchain._ising_block(n, g, h, mirror=False)
         assert np.array_equal(j_of, np.arange(2**n))
         assert np.array_equal(scale, np.ones(2**n))
-        assert np.abs(block - ham).max() <= 1e-13
+        assert np.abs(sector_block(diag, flips, weights) - ham).max() <= 1e-13
 
 
-@pytest.mark.parametrize("n", [4, 5, 10])
-def test_quench_solves_one_mirror_sector_block(monkeypatch, n):
+def sector_block(diag, flips, weights):
+    """The block as the matrix-free product reads it: row j holds diag[j]
+    and weights[k, j] at column flips[k, j]."""
+    block = np.diag(diag)
+    for f, w in zip(flips, weights):
+        np.add.at(block, (np.arange(diag.size), f), w)
+    return block
+
+
+@pytest.fixture
+def eig_sizes(monkeypatch):
+    """The side of each matrix the quench passes to hermitian_eig."""
     seen = []
 
     def spy(m):
-        seen.append(m.shape)
+        seen.append(m.shape[0])
         return hermitian_eig(m)
 
     monkeypatch.setattr(spinchain, "hermitian_eig", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [4, 5, 10])
+def test_quench_solves_one_mirror_sector_block(eig_sizes, n):
+    # the one eigensolve is of the mirror-even block projected on the Krylov
+    # space of psi_0: a t = 0 grid needs no growth past the first
+    # min(KRYLOV_START, m) Lanczos steps
     quench(n=n)
-    assert seen == [(sector_dim(n), sector_dim(n))]
+    assert eig_sizes == [min(spinchain.KRYLOV_START, sector_dim(n))]
+
+
+@pytest.mark.parametrize(
+    "n, pol, times, steps",
+    [
+        # m = 3 and 6 lie below KRYLOV_START: the run ends on beta ~ 0 at k = m
+        pytest.param(2, "z", [0.0, 1.0, 7.5], [3], id="2-z"),
+        pytest.param(3, "y", [0.0, 1.0, 7.5], [6], id="3-y"),
+        # t up to 200 with m = 36: k reaches its cap m, where the basis spans the sector
+        pytest.param(6, "z", [0.0, 50.0, 100.0, 150.0, 200.0], [36], id="6-z-t200"),
+        # m = 136: the estimate at t = 40 grows k by KRYLOV_STEP up to m
+        pytest.param(8, "y", [0.0, 10.0, 40.0], [64, 96, 128, 136], id="8-y-t40"),
+    ],
+)
+def test_lanczos_rows_match_dense_oracle(eig_sizes, n, pol, times, steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a division by beta = 0 would warn
+        _matches_oracle({"n": n, "polarization": pol, "times": np.array(times), "n_samples": 30, "seed": 8})
+    assert eig_sizes == steps
+
+
+def test_lanczos_breaks_down_on_an_eigenstate(eig_sizes):
+    # g = 0: H is diagonal and |0...0> an eigenstate, so beta_1 = 0 and k = 1
+    run = {"n": 5, "polarization": "z", "times": np.array([0.0, 3.0]), "n_samples": 20, "seed": 2, "g": 0.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _matches_oracle(run)
+    assert eig_sizes == [1]
+    assert [r["exact"] for r in thermalization_experiment(**run)] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("pol", ["z", "y"])
+def test_lanczos_restarts_past_its_cap(eig_sizes, monkeypatch, pol):
+    # a 24-step cap on m = 136: the grid is reached in restarts, from grid
+    # points and from halved steps, each within the bound
+    monkeypatch.setattr(spinchain, "KRYLOV_MAX", 24)
+    times = np.array([0.0, 0.5, 1.0, 5.0, 6.0, 20.0])
+    _matches_oracle({"n": 8, "polarization": pol, "times": times, "n_samples": 30, "seed": 8})
+    assert len(eig_sizes) > 5 and set(eig_sizes) == {24}
 
 
 def test_thermalization_determinism():

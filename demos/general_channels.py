@@ -1,8 +1,9 @@
-"""Non-unitary channels through dilation and post-selection.
+"""Non-unitary channels through their minimal Stinespring isometry.
 
-A Kraus channel is first embedded into a unitary on a larger space; random
-dual states of that unitary are then projected onto the block where the
-dilation ancilla sits in its reference state. The projected states are
+A Kraus channel's operators, stacked, are an isometry V from the input to
+output (x) environment, one environment dimension per operator. Random dual
+states draw a Haar vector on that environment and contract it with V; no
+unitary is built around the stack. Unless V is square the states are
 normalized only on average, and their mean still converges to the exact
 dual at the usual rate.
 """
@@ -30,9 +31,9 @@ def main():
     print(f"depolarizing channel: kind {diag.kind}, kraus rank {diag.kraus_rank}, "
           f"tp residual {diag.tp_residual:.1e}")
 
-    dil = stinespring_dilate(ch)
-    print(f"dilation: {dil.d_u} x {dil.d_u} unitary, ancilla {dil.ancilla_dim}, "
-          f"environment {dil.d_c}")
+    d_b, d_env, d_a = stinespring_dilate(ch).shape
+    print(f"stinespring isometry: {d_b} x {d_env} x {d_a} (output x environment x input), "
+          f"draws of {d_env} entries")
 
     exact = exact_dual(ch)
     print(f"\n{'N':>6} {'hs to exact dual':>17} {'1/sqrt(N)':>10} {'mean |Phi|^2':>13}")

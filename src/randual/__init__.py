@@ -20,7 +20,7 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import channels, dual, linalg, otoc, rng, spinchain
 from .channels import (

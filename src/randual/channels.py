@@ -1,4 +1,4 @@
-"""Quantum channel representations, dilation, validation and JSON specs.
+"""Quantum channel representations, Stinespring isometries, validation and JSON specs.
 
 A channel X maps density matrices on a d_a-dimensional input space to
 density matrices on a d_b-dimensional output space. Two presentations are
@@ -10,8 +10,12 @@ supported:
   the same space read as (d_b, d_c) with the output factor slowest when the
   traced factor c is traced out. d_a defaults to U's dimension, a
   one-dimensional ancilla: the channel U induces on its own space, which
-  kind_of calls unitary_induced. A larger ancilla makes it dilated, and
-  stinespring_dilate turns any KrausChannel into one.
+  kind_of calls unitary_induced. A larger ancilla makes it dilated.
+
+Either carries a minimal Stinespring isometry V, (d_b, d_e, d_a), with
+X(rho) = tr_e[V rho V^dag]: a KrausChannel's stack transposed (d_e = r) or
+a UnitaryChannel's ancilla-0 columns (d_e = d_c). stinespring_dilate returns
+it; no unitary is completed around a Kraus stack.
 """
 from __future__ import annotations
 
@@ -153,9 +157,10 @@ def kraus_operators(ch: Channel) -> np.ndarray:
     if isinstance(ch, KrausChannel):
         return ch.operators
     if isinstance(ch, UnitaryChannel):
-        # U reshaped to (d_b, d_c, d_a, ancilla): row block (m, c), column (i, a).
-        u4 = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a, ch.ancilla_dim)
-        return u4[:, :, :, 0].transpose(1, 0, 2).copy()
+        v = _isometry(ch)
+        if v is None:  # a PartialTrace: V is its identity, formed here
+            v = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a)
+        return v.transpose(1, 0, 2).copy()
     raise TypeError(f"not a channel: {type(ch)!r}")
 
 
@@ -169,56 +174,34 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return np.tensordot(x, ops.conj(), axes=([0, 2], [0, 2]))
 
 
-def _dilation_ancilla(r: int, d_a: int, d_b: int) -> int:
-    # smallest ancilla >= r whose dilated space carries the (d_b, d_c) layout
-    # with room for r orthogonal environment records; r * d_b always works
-    nu = r
-    while (d_a * nu) % d_b != 0 or (d_a * nu) // d_b < r:
-        nu += 1
-    return nu
+def _isometry(ch: Channel) -> np.ndarray | None:
+    """The minimal Stinespring isometry V, (d_b, d_e, d_a): a KrausChannel's
+    stack transposed (d_e = r) or a UnitaryChannel's ancilla-0 columns
+    (d_e = d_c). Contiguous, a copy for a stack or a larger ancilla, so
+    matmul stays on BLAS. None for a PartialTrace, whose V is the identity
+    and never formed."""
+    if isinstance(ch, PartialTrace):
+        return None
+    if isinstance(ch, KrausChannel):
+        return np.ascontiguousarray(ch.operators.transpose(1, 0, 2))
+    return np.ascontiguousarray(ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a, ch.ancilla_dim)[..., 0])
 
 
 def dilation_dim(ch: Channel) -> int:
-    """Dimension of the unitary the channel runs on once dilated.
-
-    Sampling memory and time scale with this squared, so callers can budget
-    before building anything.
-    """
+    """d_b * d_e, the output (x) environment dimension of the channel's
+    minimal Stinespring isometry: Haar draws have d_e entries."""
     if isinstance(ch, KrausChannel):
-        r, d_b, d_a = ch.operators.shape
-        return d_a * _dilation_ancilla(r, d_a, d_b)
-    return ch.d_u  # a UnitaryChannel runs on its own unitary
+        return ch.d_b * ch.operators.shape[0]
+    return ch.d_u
 
 
-def stinespring_dilate(ch: Channel) -> UnitaryChannel:
-    """Unitary dilation of a channel with the ancilla in the first basis vector.
-
-    For a KrausChannel with r operators the ancilla dimension is the smallest
-    nu >= r such that the dilated space d_a * nu carries the (d_b, d_c)
-    output layout, i.e. d_b divides d_a * nu and the traced factor can hold r
-    orthogonal records. Columns U(|j> (x) |0>) = sum_k (M_k |j>) (x) |k> fix
-    the action; the remaining columns are an arbitrary orthonormal
-    completion, which does not affect the channel. A UnitaryChannel is
-    returned unchanged.
+def stinespring_dilate(ch: Channel) -> np.ndarray | None:
+    """The channel's minimal Stinespring isometry V, (d_b, d_e, d_a), with
+    X(rho) = tr_e[V rho V^dag] and V(|j>) = sum_k (M_k |j>) (x) |k>: a
+    KrausChannel's stack transposed (d_e = r, no completion to a unitary), a
+    UnitaryChannel's ancilla-0 columns (d_e = d_c), None for a PartialTrace.
     """
-    if isinstance(ch, UnitaryChannel):
-        return ch
-    ops = ch.operators
-    r, d_b, d_a = ops.shape
-    nu = _dilation_ancilla(r, d_a, d_b)
-    d_u = d_a * nu
-    cols = np.zeros((d_b, d_u // d_b, d_a), dtype=complex)
-    cols[:, :r] = ops.transpose(1, 0, 2)  # operator k in environment slot k
-    cols = cols.reshape(d_u, d_a)
-    # cols already has orthonormal columns (trace preservation); QR is used
-    # only for the orthogonal complement, the constructed columns go in as is.
-    q = np.linalg.qr(cols, mode="complete")[0]
-    complement = q[:, d_a:]
-    # column (j, a) of U is input j with ancilla a: a = 0 holds cols, the rest the complement
-    u = np.empty((d_u, d_u), dtype=complex)
-    u.reshape(d_u, d_a, nu)[..., 0] = cols
-    u.reshape(d_u, d_a, nu)[..., 1:] = complement.reshape(d_u, d_a, nu - 1)
-    return UnitaryChannel(u, d_b=d_b, d_a=d_a)
+    return _isometry(ch)
 
 
 def validate_channel(ch: Channel) -> ChannelDiagnostics:

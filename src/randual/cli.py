@@ -196,18 +196,21 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
 
     Validation copies a Kraus stack (its SVD fits inside) and forms its
     d_a x d_a Gram, or U^dag U for a channel that carries a unitary. Sampling
-    dilates a Kraus channel and draws n_rows vectors on the environment;
-    formed names what the command builds from them: state_rows, row_blocks
-    (block m of every row) or exact_dual.
+    draws n_rows vectors on the environment of the channel's minimal
+    Stinespring isometry, d_env = r entries for a Kraus stack; formed names
+    what the command builds from them: state_rows, row_blocks (block m of
+    every row), exact_dual or quadratic_form (the d_b x d_env x d_env
+    products a dense A sums into its d_env-square form).
     """
-    d_u, d = dilation_dim(ch), ch.d_b * ch.d_a
-    kraus = isinstance(ch, KrausChannel)
-    elements = {"kraus_stack": ch.operators.size, "kraus_gram": ch.d_a * ch.d_a} if kraus else {}
-    if n_rows or not kraus:
-        elements["unitary"] = d_u * d_u
+    d_env, d = dilation_dim(ch) // ch.d_b, ch.d_b * ch.d_a
+    if isinstance(ch, KrausChannel):
+        elements = {"kraus_stack": ch.operators.size, "kraus_gram": ch.d_a * ch.d_a}
+    else:
+        elements = {"unitary": ch.d_u * ch.d_u}
     if n_rows:
-        elements["haar_draws"] = n_rows * (d_u // ch.d_b)
+        elements["haar_draws"] = n_rows * d_env
     sizes = {"state_rows": n_rows * d, "row_blocks": n_rows * ch.d_a, "exact_dual": d * d}
+    sizes["quadratic_form"] = ch.d_b * d_env * d_env
     return elements | {name: sizes[name] for name in formed}
 
 
@@ -288,8 +291,8 @@ def cmd_inspect(args: argparse.Namespace) -> None:
 
 def cmd_estimate(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
-    # no rows: X = B(VA), d_u d_a, and the d_env^2 M that the values and the exact variance form fit in the unitary
-    ch, a, b = _channel_inputs(args, args.n_samples)
+    # no rows: X = B(VA) is the size of V, which fits in the stack or the unitary
+    ch, a, b = _channel_inputs(args, args.n_samples, "quadratic_form")
     ens = dual_ensemble(ch, args.n_samples, args.seed)
     rep = estimate_observable(ens, a, b)
     path = _write_result(args, t0, "estimate.json", asdict(rep))

@@ -9,7 +9,7 @@ import numpy as np
 
 import randual
 from randual import KrausChannel, SeedSpec, UnitaryChannel, haar_state, haar_unitary
-from randual.channels import KRAUS_TOL_SCALE, stinespring_dilate
+from randual.channels import KRAUS_TOL_SCALE
 from randual.dual import DualStateEnsemble, dual_ensemble, estimate_observable
 from randual.linalg import (
     assert_hermitian,
@@ -123,8 +123,48 @@ def all_test_channels(seed=0):
         depolarizing(0.3),
         amplitude_damping(0.4),
         random_kraus_channel(rng, 3, 2, 3),
-        stinespring_dilate(depolarizing(0.6)),
+        complete_dilation(depolarizing(0.6)),
     ]
+
+
+def _dilation_ancilla(r, d_a, d_b):
+    # smallest ancilla >= r whose dilated space carries the (d_b, d_c) layout
+    # with room for r orthogonal environment records; r * d_b always works
+    nu = r
+    while (d_a * nu) % d_b != 0 or (d_a * nu) // d_b < r:
+        nu += 1
+    return nu
+
+
+def complete_dilation(ch):
+    """A unitary dilation of a channel, the ancilla in its first basis vector.
+
+    For a KrausChannel with r operators the ancilla dimension is the smallest
+    nu >= r such that d_b divides d_a * nu and the traced factor can hold r
+    orthogonal records. Columns U(|j> (x) |0>) = sum_k (M_k |j>) (x) |k> fix
+    the action, with the environment zero-padded from r to d_a * nu / d_b
+    slots; the remaining columns are the complete QR's orthonormal
+    completion, which does not affect the channel. A UnitaryChannel is
+    returned unchanged. The reference for the minimal Stinespring isometry
+    and the oracle wherever a test needs a dilated UnitaryChannel.
+    """
+    if isinstance(ch, UnitaryChannel):
+        return ch
+    ops = ch.operators
+    r, d_b, d_a = ops.shape
+    nu = _dilation_ancilla(r, d_a, d_b)
+    d_u = d_a * nu
+    cols = np.zeros((d_b, d_u // d_b, d_a), dtype=complex)
+    cols[:, :r] = ops.transpose(1, 0, 2)  # operator k in environment slot k
+    cols = cols.reshape(d_u, d_a)
+    # cols already has orthonormal columns (trace preservation); QR is used
+    # only for the orthogonal complement, the constructed columns go in as is.
+    q = np.linalg.qr(cols, mode="complete")[0]
+    # column (j, a) of U is input j with ancilla a: a = 0 holds cols, the rest the complement
+    u = np.empty((d_u, d_u), dtype=complex)
+    u.reshape(d_u, d_a, nu)[..., 0] = cols
+    u.reshape(d_u, d_a, nu)[..., 1:] = q[:, d_a:].reshape(d_u, d_a, nu - 1)
+    return UnitaryChannel(u, d_b=d_b, d_a=d_a)
 
 
 def random_density_matrix(rng, d):

@@ -8,6 +8,7 @@ from randual.channels import (
     KRAUS_TOL_SCALE,
     UNITARY_ATOL,
     KrausChannel,
+    PartialTrace,
     UnitaryChannel,
     apply_channel,
     channel_from_dict,
@@ -28,6 +29,7 @@ from helpers import (
     all_test_channels,
     amplitude_damping,
     choi_matrix,
+    complete_dilation,
     depolarizing,
     kraus_from_choi,
     partial_trace,
@@ -144,7 +146,7 @@ def test_kraus_rank_counts_choi_eigenvalues():
 
 def test_stinespring_amplitude_damping():
     ch = amplitude_damping(0.35)
-    dil = stinespring_dilate(ch)
+    dil = complete_dilation(ch)
     # two Kraus terms on a qubit: ancilla of dimension 2 suffices
     assert dil.d_u == 4 and dil.ancilla_dim == 2 and dil.d_c == 2
     u = dil.unitary
@@ -165,23 +167,46 @@ def test_stinespring_pads_ancilla_for_layout():
     # d_a = 3, d_b = 2, r = 3: nu = 3 leaves d_a nu odd, so padding to 4
     rng = np.random.default_rng(8)
     ch = random_kraus_channel(rng, 3, 2, 3)
-    dil = stinespring_dilate(ch)
+    dil = complete_dilation(ch)
     assert dil.ancilla_dim == 4 and dil.d_u == 12 and dil.d_c == 6
     u = dil.unitary
     assert np.allclose(u.conj().T @ u, np.eye(12), atol=1e-11)
     rho = random_density_matrix(rng, 3)
     assert np.allclose(apply_channel(dil, rho), apply_channel(ch, rho), atol=1e-11)
-    assert dilation_dim(ch) == 12
+    # the minimal isometry needs no padding: d_b * r = 6, the completion's 12
+    assert dilation_dim(ch) == 6 and dilation_dim(dil) == 12
 
 
 def test_stinespring_of_unitary_is_trivial():
+    # a unitary-induced channel's isometry is its unitary, read as (d_b, d_c, d_a)
     rng = np.random.default_rng(9)
     ch = random_unitary_channel(4, 2, rng)
-    dil = stinespring_dilate(ch)
-    assert dil.ancilla_dim == 1
-    assert np.array_equal(dil.unitary, ch.unitary)
+    v = stinespring_dilate(ch)
+    assert v.shape == (2, 2, 4) and v.flags.c_contiguous
+    assert v.tobytes() == ch.unitary.tobytes()
     assert dilation_dim(ch) == 4
-    assert stinespring_dilate(dil) is dil
+    assert complete_dilation(ch) is ch
+
+
+def test_stinespring_isometry_of_every_kind():
+    # V = the stack transposed (d_e = r), the ancilla-0 columns (d_e = d_c),
+    # None for a partial trace; V^dag V = I and tr_e[V rho V^dag] is the channel
+    rng = np.random.default_rng(17)
+    u = haar_unitary(32, rng)
+    kraus, dilated = random_kraus_channel(rng, 8, 4, 3), UnitaryChannel(u, d_a=16, d_b=4)
+    v = stinespring_dilate(kraus)
+    assert v.shape == (4, 3, 8) and v.flags.c_contiguous
+    assert np.array_equal(v, kraus.operators.transpose(1, 0, 2)) and dilation_dim(kraus) == 12
+    w = stinespring_dilate(dilated)
+    assert w.shape == (4, 8, 16) and w.flags.c_contiguous
+    assert np.array_equal(w, u.reshape(4, 8, 16, 2)[..., 0]) and dilation_dim(dilated) == 32
+    assert stinespring_dilate(PartialTrace(8, 2)) is None and dilation_dim(PartialTrace(8, 2)) == 8
+    for ch, iso in ((kraus, v), (dilated, w)):
+        flat = iso.reshape(-1, ch.d_a)
+        assert np.abs(flat.conj().T @ flat - np.eye(ch.d_a)).max() <= 1e-12
+        rho = random_density_matrix(rng, ch.d_a)
+        out = np.einsum("rei,ij,sej->rs", iso, rho, iso.conj())
+        assert np.abs(out - apply_channel(ch, rho)).max() <= 1e-13
 
 
 def test_validate_channel_flags_broken_tp():
@@ -204,7 +229,7 @@ def test_validate_channel_unitary_kinds():
     diag = validate_channel(ch)
     assert diag.is_valid and diag.kind == "unitary_induced"
     assert diag.unitarity_residual < 1e-12
-    dil = stinespring_dilate(depolarizing(0.4))
+    dil = complete_dilation(depolarizing(0.4))
     ddiag = validate_channel(dil)
     assert ddiag.is_valid and ddiag.kind == "dilated"
     assert ddiag.unitarity_residual < 1e-12
@@ -308,10 +333,11 @@ def test_constructor_shape_checks():
 
 @pytest.mark.parametrize("d_a, d_b, r", [(3, 2, 3), (12, 3, 5), (32, 8, 4), (2, 2, 6)])
 def test_stinespring_columns_are_the_kraus_stack_and_its_complement_bitwise(d_a, d_b, r):
-    # the ancilla-0 columns hold operator k in environment slot k and zeros
-    # in the padded slots (3 -> 2 r=3 and 12 -> 3 r=5 pad the ancilla)
+    # the completion oracle: its ancilla-0 columns hold operator k in
+    # environment slot k and zeros in the padded slots (3 -> 2 r=3 and
+    # 12 -> 3 r=5 pad the ancilla)
     ch = random_kraus_channel(np.random.default_rng(53), d_a, d_b, r)
-    dil = stinespring_dilate(ch)
+    dil = complete_dilation(ch)
     want = np.zeros((dil.d_c, d_b, d_a), dtype=complex)
     want[:r] = ch.operators
     assert kraus_operators(dil).tobytes() == want.tobytes()
@@ -322,11 +348,25 @@ def test_stinespring_columns_are_the_kraus_stack_and_its_complement_bitwise(d_a,
     assert dil.unitary[:, rest].tobytes() == q[:, d_a:].tobytes()
 
 
+@pytest.mark.parametrize("d_a, d_b, r", [(3, 2, 3), (12, 3, 5), (32, 8, 4), (2, 2, 6)])
+def test_minimal_isometry_padded_is_the_completions_kept_columns_bitwise(d_a, d_b, r):
+    # V, zero-padded from r to the completion's environment, is its ancilla-0
+    # columns bit for bit: the completion only adds what no row reads
+    ch = random_kraus_channel(np.random.default_rng(53), d_a, d_b, r)
+    dil = complete_dilation(ch)
+    v = stinespring_dilate(ch)
+    assert v.shape == (d_b, r, d_a) and dil.d_c >= r
+    padded = np.zeros((d_b, dil.d_c, d_a), dtype=complex)
+    padded[:, :r] = v
+    kept = dil.unitary.reshape(d_b, dil.d_c, d_a, dil.ancilla_dim)[..., 0]
+    assert padded.tobytes() == np.ascontiguousarray(kept).tobytes()
+
+
 def test_dilated_channel_ancilla_must_start_in_reference():
     # the dilated action uses |0><0| on the ancilla: check against explicit
     # construction with a swap that moves population out of |0>
     ch = amplitude_damping(0.5)
-    dil = stinespring_dilate(ch)
+    dil = complete_dilation(ch)
     rng = np.random.default_rng(11)
     rho = random_density_matrix(rng, 2)
     anc = np.zeros((2, 2), dtype=complex)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from randual import cli
-from randual.channels import KrausChannel, UnitaryChannel, channel_to_dict, save_channel, stinespring_dilate
+from randual.channels import KrausChannel, UnitaryChannel, channel_to_dict, save_channel
 from randual.dual import EstimatorReport, variance_bound
 from randual.rng import haar_unitary
 
-from helpers import depolarizing, random_hermitian, random_kraus_channel, run_cli, run_python
+from helpers import complete_dilation, depolarizing, random_hermitian, random_kraus_channel, run_cli, run_python
 
 SIGMA_Z_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[-1.0,0.0]]]"
 PROJ0_JSON = "[[[1.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,0.0]]]"
@@ -195,7 +195,7 @@ def test_overflowing_channel_is_invalid_not_a_lapack_error(kind, tmp_path, capsy
     if kind == "kraus":
         ch = KrausChannel(depolarizing(0.3).operators * 1e200)
     else:
-        ch = stinespring_dilate(depolarizing(0.3))
+        ch = complete_dilation(depolarizing(0.3))
         ch = UnitaryChannel(ch.unitary * 1e200, d_a=ch.d_a, d_b=ch.d_b)
     path = tmp_path / "overflow.json"
     save_channel(ch, str(path))
@@ -699,11 +699,11 @@ def test_thermalize_holds_no_identity(tmp_path):
     assert peak < 64 * 2**20
 
 def test_budget_boundary_and_force():
-    # 64 Kraus operators 64 -> 64: dilation dimension 4096 = d_a * d_b, and
-    # 4096 rows of d_b * d_a = 4096 entries, each exactly MAX_UNFORCED_BYTES
+    # 64 Kraus operators 64 -> 64: draws of r = 64 entries, no unitary, and
+    # 4096 rows of d_b * d_a = 4096 entries, exactly MAX_UNFORCED_BYTES
     ch = KrausChannel(np.zeros((64, 64, 64)))
     elements = cli._channel_elements(ch, 4096, "state_rows")
-    assert elements == {"kraus_stack": 64**3, "kraus_gram": 64**2, "unitary": 4096**2,
+    assert elements == {"kraus_stack": 64**3, "kraus_gram": 64**2,
                         "haar_draws": 4096 * 64, "state_rows": 4096 * 64 * 64}  # fmt: skip
     cli._check_budget(False, **elements)
     with pytest.raises(cli.ResourceCapError, match="state rows"):
@@ -715,9 +715,11 @@ def test_budget_boundary_and_force():
     # otoc's blocks are d_a wide; dual-distance adds the (d_b * d_a)^2 exact dual
     blocks = cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks", "exact_dual")
     assert blocks == {"unitary": 64, "haar_draws": 40, "row_blocks": 80, "exact_dual": 256}
-    # 4 -> 1 with r = 4: the environment draws are 16 wide, the rows 4 wide
+    # 4 -> 1 with r = 4: the environment draws are r = 4 wide, as the rows are
     draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10, "state_rows")
-    assert draws["haar_draws"] == 4 * draws["state_rows"] == 160
+    assert draws["haar_draws"] == draws["state_rows"] == 40
+    # a dense A sums d_b x r x r products into its r-square form
+    assert cli._channel_elements(KrausChannel(np.zeros((6, 2, 3))), 1, "quadratic_form")["quadratic_form"] == 72
     with pytest.raises(cli.ResourceCapError, match="dense matrix"):
         cli._check_budget(False, dense_matrix=4096**2 + 1, time_grid=3)
     with pytest.raises(cli.ResourceCapError, match="time grid"):
@@ -728,9 +730,9 @@ def test_budget_boundary_and_force():
 @pytest.fixture(scope="module")
 def priced_inputs(tmp_path_factory):
     """Channels and observables for the commands whose old prices refused
-    them: a 256 -> 8 Kraus channel with r = 32 (dilation dimension 8192),
-    256 -> 32 and 256 -> 16 unitaries (exact duals 8192 and 4096 square),
-    and a 4 -> 2 unitary."""
+    them: a 256 -> 8 Kraus channel with r = 32 (once completed to an 8192 x
+    8192 unitary), 256 -> 32 and 256 -> 16 unitaries (exact duals 8192 and
+    4096 square), and a 4 -> 2 unitary."""
     d = tmp_path_factory.mktemp("priced")
     save_channel(random_kraus_channel(np.random.default_rng(70), 256, 8, 32), str(d / "kraus256.json"))
     for d_a, d_b in ((256, 32), (256, 16), (4, 2)):
@@ -744,6 +746,7 @@ def priced_inputs(tmp_path_factory):
     "argv",
     [
         ["inspect", "kraus256.json"],
+        ["dual-distance", "kraus256.json", "--n-values", "200", "--trials", "1"],
         ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
          "--n-samples", "200"],
         ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
@@ -754,12 +757,14 @@ def priced_inputs(tmp_path_factory):
         ["otoc", "unitary4-2.json", "--observable-a", "a4.json", "--observable-b", "b2.json",
          "--pairs", "20000", "--pairing", "all"],
     ],
-    ids=["inspect-dilation", "estimate-exact-dual", "estimate-rows", "otoc-rows", "all-pairs-overlaps"],
+    ids=["inspect-dilation", "dual-distance-kraus", "estimate-exact-dual", "estimate-rows", "otoc-rows",
+         "all-pairs-overlaps"],
 )  # fmt: skip
 def test_channel_commands_run_where_the_old_price_refused(argv, priced_inputs, tmp_path):
     # each exited 3 while its command priced an array it never builds: the
-    # 8192^2 dilation, the 8192^2 exact dual, 2049 rows of 8192 entries (one
-    # row past the budget), 4098 rows of 4096 entries (2^28.0 bytes, one pair
+    # 8192^2 dilation (twice: to inspect, and to sample draws of r = 32
+    # entries), the 8192^2 exact dual, 2049 rows of 8192 entries (one row
+    # past the budget), 4098 rows of 4096 entries (2^28.0 bytes, one pair
     # past the budget) and the pair-overlap block
     argv = [str(priced_inputs / a) if a.endswith(".json") else a for a in argv]
     assert cli.main(argv + ["--output-dir", str(tmp_path)]) == 0
@@ -783,6 +788,14 @@ def _unbuilt(cls, name, shape, **fields):
         # one 1 x 4097 operator: its d_a x d_a Gram is one row past the budget
         (["inspect", "CH"], _unbuilt(KrausChannel, "operators", (1, 1, 4097)), "kraus gram"),
         (["inspect", "CH"], _unbuilt(UnitaryChannel, "unitary", (4097, 4097), d_b=1, d_a=4097), "unitary"),
+        # 2^20 + 1 draws of r = 16 entries from a 1024 -> 128 stack: one draw
+        # past the budget, where a completed 2^14-square unitary would be the
+        # largest array; the budget refuses before the observables are sized
+        (["estimate", "CH", "--observable-a", SIGMA_Z_JSON, "--observable-b", SIGMA_Z_JSON, "--n-samples", "1048577"],
+         _unbuilt(KrausChannel, "operators", (16, 128, 1024)), "haar draws"),
+        # 4097 operators 1 -> 1: a dense A sums 4097 x 4097 products into M
+        (["estimate", "CH", "--observable-a", SIGMA_Z_JSON, "--observable-b", SIGMA_Z_JSON, "--n-samples", "1"],
+         _unbuilt(KrausChannel, "operators", (4097, 1, 1)), "quadratic form"),
         # 2^21 + 1 draws of d_env = 256 / 32 = 8 entries: one draw past the budget
         (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2097153"],
          _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32, d_a=256), "haar draws"),
@@ -790,7 +803,8 @@ def _unbuilt(cls, name, shape, **fields):
         (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
          _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16, d_a=256), "row blocks"),
     ],
-    ids=["inspect-kraus", "inspect-kraus-gram", "inspect-unitary", "estimate", "otoc"],
+    ids=["inspect-kraus", "inspect-kraus-gram", "inspect-unitary", "estimate-kraus", "estimate-kraus-form", "estimate",
+         "otoc"],
 )  # fmt: skip
 def test_channel_commands_refuse_one_past_their_largest_entry(
     argv, channel, entry, priced_inputs, no_allocation, monkeypatch, tmp_path, capsys
@@ -802,15 +816,15 @@ def test_channel_commands_refuse_one_past_their_largest_entry(
 
 
 def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch, capsys):
-    # 16 -> 4, r = 4: the draws are d_env = 64 / 4 = 16 wide, so 2^20 of them
-    # take exactly the budget and one more is refused; no rows are priced,
-    # though 2^20 rows of d_b * d_a = 64 entries would take four times the
+    # 16 -> 4, r = 4: the draws are d_env = r = 4 wide, so 2^22 of them take
+    # exactly the budget and one more is refused; no rows are priced, though
+    # 2^22 rows of d_b * d_a = 64 entries would take sixteen times the
     # budget. Sampling is stubbed so nothing is built
     path = tmp_path / "kraus.json"
     save_channel(random_kraus_channel(np.random.default_rng(0), 16, 4, 4), str(path))
     sampled = []
     monkeypatch.setattr(cli, "dual_ensemble", lambda ch, n, seed: sampled.append(n))
-    monkeypatch.setattr(cli, "estimate_observable", lambda ens, a, b: EstimatorReport(0.0, 0.0, None, 0.0, 2**20))
+    monkeypatch.setattr(cli, "estimate_observable", lambda ens, a, b: EstimatorReport(0.0, 0.0, None, 0.0, 2**22))
     codes = [
         cli.main([
             "estimate", str(path),
@@ -819,10 +833,10 @@ def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch, ca
             "--n-samples", str(n),
             "--output-dir", str(tmp_path / "out"),
         ])
-        for n in (2**20, 2**20 + 1)
+        for n in (2**22, 2**22 + 1)
     ]  # fmt: skip
     assert codes == [0, 3]
-    assert sampled == [2**20]
+    assert sampled == [2**22]
     assert "the haar draws needs" in capsys.readouterr().err
 
 

@@ -40,6 +40,7 @@ from helpers import (
     apply_channel_oracle,
     batch_states_oracle,
     choi_matrix,
+    complete_dilation,
     dense_values_oracle,
     depolarizing,
     dual_from_choi,
@@ -336,7 +337,7 @@ def test_partial_trace_reads_its_identity_as_the_dense_unitary(d_b):
     rng = np.random.default_rng(70 + d_b)
     keep, dense = PartialTrace(256, d_b), UnitaryChannel(np.eye(256), d_b=d_b)
     assert kind_of(keep) == "unitary_induced" and dilation_dim(keep) == 256 and keep.d_c == 256 // d_b
-    assert dual._isometry(keep) is None
+    assert stinespring_dilate(keep) is None
     assert np.array_equal(kraus_operators(keep), kraus_operators(dense))
     assert validate_channel(keep).is_valid
     fast, slow = dual_ensemble(keep, 30, master_seed=71), dual_ensemble(dense, 30, master_seed=71)
@@ -373,7 +374,7 @@ def _sampling_kinds():
         "kraus r<d": random_kraus_channel(rng, 8, 4, 3),  # r = 3 < d_a = 8
         "kraus r>d": random_kraus_channel(rng, 2, 2, 6),  # r = 6 > d_b * d_a = 4, so d_env = 6 > 4 too
         "dilated": UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),
-        "trivially dilated": stinespring_dilate(unitary),
+        "trivially dilated": complete_dilation(unitary),
         "unitary d_b=1": random_unitary_channel(8, 1, rng),
     }
 
@@ -630,7 +631,7 @@ def test_estimator_rank_is_at_most_n():
 def test_general_ensemble_trivial_dilation_matches_unitary_path():
     ch = random_unitary_channel(8, 2, np.random.default_rng(16))
     direct = dual_ensemble(ch, 5, master_seed=21)
-    via_dilation = dual_ensemble(stinespring_dilate(ch), 5, master_seed=21)
+    via_dilation = dual_ensemble(complete_dilation(ch), 5, master_seed=21)
     assert np.array_equal(direct.states, via_dilation.states)
     assert direct.kind == KIND_UNITARY
     assert via_dilation.kind == KIND_UNITARY
@@ -684,14 +685,16 @@ def test_ensemble_prefix_property_every_channel_kind(kind):
 @pytest.mark.parametrize("kind", ["unitary", "kraus"])
 def test_ensemble_rows_across_a_key_block_match_seedsequence_draws(kind):
     # rows on both sides of the first 4096-index key block are the single
-    # draws at their (master_seed, k) address, keyed by numpy's SeedSequence
+    # draws at their (master_seed, k) address, keyed by numpy's SeedSequence;
+    # both isometries are square (16 -> 4 with r = 4), so V read as a d_a x d_a
+    # unitary is the full dilation
     rng = np.random.default_rng(48)
     ch = random_unitary_channel(8, 2, rng) if kind == "unitary" else random_kraus_channel(rng, 16, 4, 4)
     ens = dual_ensemble(ch, 4097, master_seed=49)
-    dil = stinespring_dilate(ch)
+    v = stinespring_dilate(ch)
     for k in (0, 4095, 4096):
-        psi = haar_state(dil.d_c, seedsequence_rng(49, k))
-        want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psi[np.newaxis])
+        psi = haar_state(v.shape[1], seedsequence_rng(49, k))
+        want = full_dilation_rows_oracle(v.reshape(ch.d_a, ch.d_a), ch.d_b, 1, psi[np.newaxis])
         assert np.array_equal(ens.states[k], want[0])
 
 
@@ -705,7 +708,7 @@ def test_ensemble_rows_match_tensordot_oracle(kind):
     }[kind]
     n = 9
     ens = dual_ensemble(ch, n, master_seed=26)
-    dil = stinespring_dilate(ch)
+    dil = complete_dilation(ch)  # depolarizing: r = 4 fills the completion's environment, d_c = 4
     nu = dil.ancilla_dim
     assert (nu > 1) == (kind != "unitary")
     psis = np.array([haar_state(dil.d_c, SeedSpec(26, k).rng()) for k in range(n)])
@@ -798,7 +801,7 @@ def test_ensemble_metadata_is_read_off_the_channel(kind):
     ens = DualStateEnsemble(drawn.draws, 49, ch)
     assert (ens.d_a, ens.d_b) == (ch.d_a, ch.d_b)
     assert ens.kind == (KIND_UNITARY if kind == "unitary" else KIND_POSTSELECTED)
-    d_env = stinespring_dilate(ch).d_c
+    d_env = stinespring_dilate(ch).shape[1]
     assert ens.draws.shape == (3, d_env)
     assert np.array_equal(ens.states, drawn.states)
     for width in (d_env - 1, d_env + 1, ch.d_a, ch.d_b):
@@ -853,25 +856,52 @@ def test_postselected_rows_bits_match_full_dilation_product(kind, n):
         "kraus 64->4 r=16": lambda: random_kraus_channel(rng, 64, 4, 16),
         "dilated 64 d_a=16 d_b=2": lambda: UnitaryChannel(haar_unitary(64, rng), d_a=16, d_b=2),
     }[kind]()
-    dil = stinespring_dilate(ch)
-    psis = np.array([haar_state(dil.d_c, SeedSpec(47, k).rng()) for k in range(n)])
-    want = full_dilation_rows_oracle(dil.unitary, ch.d_b, dil.ancilla_dim, psis)
-    assert dil.ancilla_dim > 1
+    # each Kraus stack is square, r d_b = d_a: its minimal isometry, read as a
+    # d_a x d_a unitary with no ancilla, is its full dilation
+    if isinstance(ch, KrausChannel):
+        u, nu, d_env = stinespring_dilate(ch).reshape(ch.d_a, ch.d_a), 1, ch.operators.shape[0]
+    else:
+        u, nu, d_env = ch.unitary, ch.ancilla_dim, ch.d_c
+        assert nu > 1
+    psis = np.array([haar_state(d_env, SeedSpec(47, k).rng()) for k in range(n)])
+    want = full_dilation_rows_oracle(u, ch.d_b, nu, psis)
     assert np.array_equal(dual_ensemble(ch, n, master_seed=47).states, want)
 
 
 @pytest.mark.parametrize("kind", ["unitary 64/4", "kraus 12->3 r=5", "dilated 32 d_a=8 d_b=4"])
 def test_rows_are_the_exact_dual_factor_applied_to_the_draws(kind):
     # row k = sqrt(d_env) W draws[k, :r] for W = exact_dual_factor(ch); a
-    # Kraus draw longer than W (d_env = 20 > r = 5) carries padding entries
-    # that no row reads
+    # Kraus draw is as long as W (d_env = r = 5): no padding entry is drawn
     rng = np.random.default_rng(51)
     ch, r, d_env = {
         "unitary 64/4": lambda: (random_unitary_channel(64, 4, rng), 16, 16),
-        "kraus 12->3 r=5": lambda: (random_kraus_channel(rng, 12, 3, 5), 5, 20),
+        "kraus 12->3 r=5": lambda: (random_kraus_channel(rng, 12, 3, 5), 5, 5),
         "dilated 32 d_a=8 d_b=4": lambda: (UnitaryChannel(haar_unitary(32, rng), d_a=8, d_b=4), 8, 8),
     }[kind]()
     ens = dual_ensemble(ch, 30, master_seed=52)
     w = exact_dual_factor(ch)
     assert w.shape[1] == r and ens.draws.shape[1] == d_env
     assert _rel_err(ens.states, np.sqrt(d_env) * ens.draws[:, :r] @ w.T) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["unitary 16/2", "dilated 32 d_a=16 d_b=4", "kraus 32->8 r=4", "kraus 8->4 r=3"])
+def test_mean_squared_hs_distance_is_the_haar_prediction(kind):
+    # with psi Haar in m = d_env dimensions, N E[HS^2] = m (1 + p) / (m + 1) - p
+    # for p = tr rho_X^2: a square isometry (unitary-induced, or a Kraus stack
+    # with r d_b = d_a) gives 1 - p; 32 -> 8 with r = 4 predicts 0.75, where
+    # draws padded to the 16 slots of a completed unitary predicted 0.926
+    rng = np.random.default_rng(80)
+    ch = {
+        "unitary 16/2": lambda: random_unitary_channel(16, 2, rng),
+        "dilated 32 d_a=16 d_b=4": lambda: UnitaryChannel(haar_unitary(32, rng), d_a=16, d_b=4),
+        "kraus 32->8 r=4": lambda: random_kraus_channel(rng, 32, 8, 4),
+        "kraus 8->4 r=3": lambda: random_kraus_channel(rng, 8, 4, 3),
+    }[kind]()
+    m = dilation_dim(ch) // ch.d_b
+    p = np.vdot(exact_dual(ch), exact_dual(ch)).real
+    predicted = m * (1 + p) / (m + 1) - p
+    if kind == "kraus 32->8 r=4":
+        assert m == 4 and abs(predicted - 0.75) <= 1e-12
+    n, trials = 16, 400
+    scaled = np.array([n * row["hs_distance"] ** 2 for row in distance_table(ch, [n], trials, seed=81)])
+    assert abs(scaled.mean() - predicted) <= 4 * scaled.std(ddof=1) / np.sqrt(trials)

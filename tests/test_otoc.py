@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randual.channels import UnitaryChannel, stinespring_dilate
+from randual.channels import UnitaryChannel
 from randual.dual import dual_ensemble, exact_dual
 from randual.linalg import kron
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 
 from helpers import (
+    complete_dilation,
     depolarizing,
     otoc_exact_oracle,
     otoc_overlaps_oracle,
@@ -187,7 +188,7 @@ def _block_case(name):
     else:
         spec = OtocSpec(random_unitary_channel(12, 3, rng), random_hermitian(rng, 12), np.diag([0.0, 0.0, 1.0]))
     if name == "12/3 dilated":
-        ch = stinespring_dilate(random_kraus_channel(rng, 12, 3, 5))
+        ch = complete_dilation(random_kraus_channel(rng, 12, 3, 5))
         assert ch.ancilla_dim > 1
     else:
         ch = spec.channel

@@ -8,7 +8,11 @@ workload command there, plus an all-pairs `otoc` (500 pairs, seed 5), an
 `estimate` on the unitary input with the otoc observables as a dense A and
 B (2000 samples, seed SEED), a one-sample `estimate` of the `estimate`
 command's Kraus input and observables (seed SEED), whose sigma is the exact
-one, `inspect` of the Kraus and the unitary input,
+one, `inspect` of the Kraus and the unitary input, a `dual-distance` of a
+rectangular 8 -> 4 Kraus channel with 3 operators (workloads.random_kraus
+at SEED; both workload Kraus inputs are square, r d_b = d_a, so this is
+the one whose rows are normalized only in expectation; N = 10, 50, two
+trials, seed SEED),
 two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
 on none, output on the first 2), a `scaling` run of an odd chain at
 non-default fields (7 spins, input on the first 3, output on the first 2,
@@ -44,6 +48,7 @@ def main(seed: int) -> None:
     os.environ.update(RANDUAL_THREADS="1", PYTHONPATH=str(ROOT / "src"))
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     sys.dont_write_bytecode = True  # leave no cache files beside the bench modules
+    import numpy as np
     import workloads
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -51,6 +56,13 @@ def main(seed: int) -> None:
         for name in ("quench", "distance"):
             for cmd in workloads.build(name, seed, work).commands:
                 run(cmd.name, cmd.argv, cmd.outdir / cmd.result_file)
+        rect = workloads.random_kraus(np.random.default_rng(seed), 8, 4, 3)
+        out = work / "dual-distance-rect"
+        argv = [
+            "dual-distance", workloads.write_kraus(work / "kraus_rect.json", rect),
+            "--n-values", "10,50", "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("dual-distance-rect", argv, out / "distances.csv")
         out = work / "otoc-all"
         argv = [
             "otoc", str(work / "unitary.json"),

@@ -15,8 +15,8 @@ from randual.channels import (
     stinespring_dilate,
     validate_channel,
 )
-from randual.dual import dual_ensemble, dual_estimate, exact_dual
-from randual.linalg import hs_distance, sigma_x, sigma_y, sigma_z
+from randual.dual import distance_report, dual_ensemble
+from randual.linalg import sigma_x, sigma_y, sigma_z
 
 
 def depolarizing(p):
@@ -35,13 +35,11 @@ def main():
     print(f"stinespring isometry: {d_b} x {d_env} x {d_a} (output x environment x input), "
           f"draws of {d_env} entries")
 
-    exact = exact_dual(ch)
     print(f"\n{'N':>6} {'hs to exact dual':>17} {'1/sqrt(N)':>10} {'mean |Phi|^2':>13}")
     for n in (100, 1000, 10000):
         ens = dual_ensemble(ch, n, master_seed=9)
-        est = dual_estimate(ens)
         sq = float(np.mean(np.sum(np.abs(ens.states) ** 2, axis=1)))
-        print(f"{n:6d} {hs_distance(est, exact):17.5f} {1 / np.sqrt(n):10.5f} {sq:13.5f}")
+        print(f"{n:6d} {distance_report(ens).hs_distance:17.5f} {1 / np.sqrt(n):10.5f} {sq:13.5f}")
 
 
 if __name__ == "__main__":

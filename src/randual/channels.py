@@ -47,6 +47,8 @@ class KrausChannel:
         ops = _as_complex(self.operators)
         if ops.ndim != 3 or ops.shape[0] < 1:
             raise ValueError("operators must be a nonempty stack of matrices")
+        if ops.shape[1] < 1 or ops.shape[2] < 1:
+            raise ValueError(f"d_a={ops.shape[2]} and d_b={ops.shape[1]} must be at least 1")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -102,6 +104,9 @@ class PartialTrace(UnitaryChannel):
             raise ValueError(f"d_b={d_b} must divide d_a={d_a}")
         object.__setattr__(self, "d_a", d_a)
         object.__setattr__(self, "d_b", d_b)
+
+    def __repr__(self) -> str:  # the dataclass repr would read .unitary, forming the identity
+        return f"PartialTrace(d_a={self.d_a}, d_b={self.d_b})"
 
     @property
     def unitary(self) -> np.ndarray:

@@ -198,9 +198,9 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
     d_a x d_a Gram, or U^dag U for a channel that carries a unitary. Sampling
     draws n_rows vectors on the environment of the channel's minimal
     Stinespring isometry, d_env = r entries for a Kraus stack; formed names
-    what the command builds from them: state_rows, row_blocks (block m of
-    every row), exact_dual or quadratic_form (the d_b x d_env x d_env
-    products a dense A sums into its d_env-square form).
+    what the command builds from them: state_rows, exact_dual or
+    quadratic_form (the d_b x d_env x d_env products a dense A sums into its
+    d_env-square form).
     """
     d_env, d = dilation_dim(ch) // ch.d_b, ch.d_b * ch.d_a
     if isinstance(ch, KrausChannel):
@@ -209,7 +209,7 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
         elements = {"unitary": ch.d_u * ch.d_u}
     if n_rows:
         elements["haar_draws"] = n_rows * d_env
-    sizes = {"state_rows": n_rows * d, "row_blocks": n_rows * ch.d_a, "exact_dual": d * d}
+    sizes = {"state_rows": n_rows * d, "exact_dual": d * d}
     sizes["quadratic_form"] = ch.d_b * d_env * d_env
     return elements | {name: sizes[name] for name in formed}
 
@@ -310,8 +310,9 @@ def cmd_dual_distance(args: argparse.Namespace) -> None:
 def cmd_otoc(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     n = 2 * args.pairs
-    # the all-pairs A s^T and min(N, d_a)-square product fit in the row blocks
-    ch, a, b = _channel_inputs(args, n, "row_blocks")
+    # the pair estimates hold G times the draws, as large as the draws, and at
+    # most a d_c-square product, which fits in the unitary: no rows are formed
+    ch, a, b = _channel_inputs(args, n)
     try:
         spec = OtocSpec(ch, a, b)
     except TypeError as exc:

@@ -52,8 +52,9 @@ its ancilla-0 columns (d_e = d_c); a KrausChannel's is its own stack
 (nu = 1, a unitary-induced channel or a Kraus stack of r d_b = d_a), the
 rows are normalized only in expectation but average to the exact dual.
 Ensembles keep the Haar draws: rows are formed on first use, by the
-rank-N estimator and the distances; observables and the OTOC read the
-draws.
+rank-N estimator and the distances; observables read the draws through
+their quadratic form M, and the OTOC through its d_c x d_c matrix G
+(randual.otoc), which is M for B = |m><m|.
 """
 from __future__ import annotations
 
@@ -128,25 +129,17 @@ class DualStateEnsemble:
         """Rows (I (x) V^dag)(|phi+> (x) |psi_k>), V = _cols read as (d_b, d_env, d_a).
 
         |phi+> (x) |psi> is delta_{rs} psi[e] / sqrt(d_b) at column (s, e), so
-        row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b): _row_block
-        for every r at once, one GEMM per output index. Rows of a V that is
-        not square get sqrt(nu).
+        row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b): one GEMM per
+        output index, N d_env d_a work each. Rows of a V that is not square
+        get sqrt(nu). A PartialTrace's identity columns are formed here.
         """
-        return _row_block(self, slice(None)).transpose(1, 0, 2).reshape(self.n_samples, -1)
-
-
-def _row_block(ens: DualStateEnsemble, m: int | slice) -> np.ndarray:
-    """Block m of every row, states.reshape(N, d_b, d_a)[:, m], read off the
-    draws as draws conj(V[m]) sqrt(nu / d_b): N d_env d_a work per block. A
-    slice of ancilla indices stacks its blocks first, (k, N, d_a). A
-    PartialTrace's identity columns are formed here."""
-    cols = np.eye(ens.d_a, dtype=complex).reshape(ens.d_b, -1, ens.d_a) if ens._cols is None else ens._cols
-    block = np.matmul(ens.draws.conj(), cols[m])
-    np.conjugate(block, out=block)
-    block /= np.sqrt(ens.d_b)
-    if ens._nu != 1:
-        block *= np.sqrt(ens._nu)
-    return block
+        cols = np.eye(self.d_a, dtype=complex).reshape(self.d_b, -1, self.d_a) if self._cols is None else self._cols
+        blocks = np.matmul(self.draws.conj(), cols)
+        np.conjugate(blocks, out=blocks)
+        blocks /= np.sqrt(self.d_b)
+        if self._nu != 1:
+            blocks *= np.sqrt(self._nu)
+        return blocks.transpose(1, 0, 2).reshape(self.n_samples, -1)
 
 
 @dataclass(frozen=True)

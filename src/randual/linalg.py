@@ -68,32 +68,6 @@ def hs_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a - b without broadcasting: operands of different shapes are an error
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
-    return a - b
-
-
-def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance ||a - b||_2; raises ValueError when the
-    shapes of a and b differ."""
-    return hs_norm(_difference(a, b))
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2)||a - b||_1 of Hermitian a and b.
-
-    a - b is Hermitian, so its singular values are the moduli of its
-    eigenvalues; raises ValueError when the shapes of a and b differ or
-    a - b is not Hermitian within HERMITIAN_ATOL.
-    """
-    diff = _difference(a, b)
-    assert_hermitian(diff, name="a - b")
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
 def unitary_evolution(h: np.ndarray, t: float) -> np.ndarray:
     """exp(-i h t) for h Hermitian within HERMITIAN_ATOL, via full eigendecomposition."""
     w, v = hermitian_eig(h)

@@ -15,6 +15,7 @@ from randual.linalg import (
     assert_hermitian,
     evolution_from_eig,
     hermitian_eig,
+    hs_norm,
     sigma_y,
     sigma_z,
 )
@@ -359,6 +360,31 @@ def partial_trace(m, dims, keep):
     return np.einsum(t, row + col, out).reshape(kept_dim, kept_dim)
 
 
+def _difference(a, b):
+    # a - b without broadcasting: operands of different shapes are an error
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        raise ValueError(f"shapes {a.shape} and {b.shape} differ")
+    return a - b
+
+
+def hs_distance(a, b):
+    """Hilbert-Schmidt distance ||a - b||_2 of two dense matrices; raises
+    ValueError when their shapes differ. The dense reference for
+    distance_report's hs_distance."""
+    return hs_norm(_difference(a, b))
+
+
+def trace_distance(a, b):
+    """Trace distance (1/2)||a - b||_1 of Hermitian a and b, from the moduli
+    of the eigenvalues of a - b; raises ValueError when the shapes differ or
+    a - b is not Hermitian within HERMITIAN_ATOL. The dense reference for
+    distance_report's trace_distance."""
+    diff = _difference(a, b)
+    assert_hermitian(diff, name="a - b")
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
 def otoc_exact_oracle(spec):
     """tr[G^2] with G = tr_b[(B (x) I_c) U A U^dag], through the full
     product U A U^dag and a partial trace: the reference for otoc_exact."""
@@ -373,7 +399,7 @@ def otoc_exact_oracle(spec):
 def otoc_overlaps_oracle(spec, ens):
     """N x N pair values d_a^2 |<Psi_k|(B^t (x) A)|Psi_k'>|^2 over the full
     rows ens.states, with B^t (x) A formed by kron: the reference for the
-    block reading of otoc_estimate. Forms the rows."""
+    draw reading of otoc_estimate through G. Forms the rows."""
     o = np.kron(spec.b.T, spec.a)
     s = ens.states
     return spec.channel.d_a**2 * np.abs(s.conj() @ o @ s.T) ** 2

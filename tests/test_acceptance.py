@@ -26,7 +26,7 @@ from randual.dual import (
     sample_values,
     variance_bound,
 )
-from randual.linalg import hs_distance, hs_norm, kron, sigma_y, sigma_z
+from randual.linalg import hs_norm, kron, sigma_y, sigma_z
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 from randual.rng import haar_unitary
 from randual.spinchain import (
@@ -41,6 +41,7 @@ from helpers import (
     complete_dilation,
     depolarizing,
     dual_from_choi,
+    hs_distance,
     kraus_from_choi,
     random_density_matrix,
     random_hermitian,

@@ -331,6 +331,29 @@ def test_constructor_shape_checks():
         UnitaryChannel(np.eye(6), d_a=4, d_b=2)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 0), (1, 0, 1), (2, 0, 0)])
+def test_kraus_channel_rejects_empty_dimensions(shape):
+    # as a UnitaryChannel does: an empty operator has no Choi spectrum to validate
+    with pytest.raises(ValueError, match="must be at least 1"):
+        KrausChannel(np.zeros(shape))
+    # one 1 x 0 operator is the one empty stack a JSON spec can carry
+    with pytest.raises(ValueError, match="must be at least 1"):
+        channel_from_dict({"kind": "kraus", "d_a": 0, "d_b": 1, "matrices": [[[]]]})
+
+
+def test_partial_trace_repr_forms_no_identity():
+    # the dataclass repr would read .unitary, a 2^12-square identity of 256 MiB
+    ch = PartialTrace(2**12, 2)
+    tracemalloc.start()
+    try:
+        text = repr(ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "PartialTrace(d_a=4096, d_b=2)"
+    assert peak < 2**16
+
+
 @pytest.mark.parametrize("d_a, d_b, r", [(3, 2, 3), (12, 3, 5), (32, 8, 4), (2, 2, 6)])
 def test_stinespring_columns_are_the_kraus_stack_and_its_complement_bitwise(d_a, d_b, r):
     # the completion oracle: its ancilla-0 columns hold operator k in

@@ -96,6 +96,16 @@ def test_inspect_rejects_broken_channel(tmp_path):
     assert json.loads(res.stdout)["is_valid"] is False
 
 
+def test_inspect_rejects_empty_kraus_dimensions(tmp_path):
+    # a 1 x 0 operator once reached validation and died there with an IndexError
+    path = tmp_path / "empty.json"
+    path.write_text('{"kind": "kraus", "d_a": 0, "d_b": 1, "matrices": [[[]]]}')
+    res = run_cli(["inspect", str(path)], cwd=tmp_path)
+    assert res.returncode == 1
+    assert "config error" in res.stderr and "must be at least 1" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_estimate_identity_channel_is_deterministic_value(identity_qubit, tmp_path):
     # d_c = 1: the single dual state is exact, so the estimate is tr[A B]
     res = run_cli(
@@ -327,9 +337,10 @@ def test_all_pairs_otoc_writes_null_sigma(scrambler, tmp_path):
 
 
 def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
-    # 8000 states: the N x d_a row blocks are the largest array priced, and
-    # the all-pairs trace holds nothing wider than them; the 8000 x 8000
-    # overlap table it never forms would take 1 GB
+    # 8000 states: the N x d_c draws are the largest array priced, and the
+    # all-pairs trace holds only G times them, as large, and a d_c-square
+    # product; the 8000 x 8000 overlap table it never forms would take 1 GB,
+    # and no row or block of a row is priced or built
     unitary = tmp_path / "unitary.json"
     save_channel(UnitaryChannel(haar_unitary(4, 5), d_b=2), str(unitary))
     priced = {}
@@ -349,7 +360,7 @@ def test_all_pairs_otoc_peak_is_priced(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert priced == {"unitary": 16, "haar_draws": 8000 * 2, "row_blocks": 8000 * 4}
+    assert priced == {"unitary": 16, "haar_draws": 8000 * 2}
     assert peak <= 16 * sum(priced.values()) + 3 * 2**20
 
 
@@ -712,9 +723,11 @@ def test_budget_boundary_and_force():
     # a unitary-carrying one forms U^dag U; no dilation is built
     assert cli._channel_elements(ch) == {"kraus_stack": 64**3, "kraus_gram": 64**2}
     assert cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2)) == {"unitary": 64}
-    # otoc's blocks are d_a wide; dual-distance adds the (d_b * d_a)^2 exact dual
-    blocks = cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks", "exact_dual")
-    assert blocks == {"unitary": 64, "haar_draws": 40, "row_blocks": 80, "exact_dual": 256}
+    # otoc builds nothing past its draws; dual-distance adds the (d_b * d_a)^2 exact dual
+    dense = cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "exact_dual")
+    assert dense == {"unitary": 64, "haar_draws": 40, "exact_dual": 256}
+    with pytest.raises(KeyError):
+        cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks")
     # 4 -> 1 with r = 4: the environment draws are r = 4 wide, as the rows are
     draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10, "state_rows")
     assert draws["haar_draws"] == draws["state_rows"] == 40
@@ -799,9 +812,9 @@ def _unbuilt(cls, name, shape, **fields):
         # 2^21 + 1 draws of d_env = 256 / 32 = 8 entries: one draw past the budget
         (["estimate", "CH", "--observable-a", "a256.json", "--observable-b", "b32.json", "--n-samples", "2097153"],
          _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=32, d_a=256), "haar draws"),
-        # 2^16 + 2 blocks of 256 entries: one pair past the budget
-        (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "32769"],
-         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16, d_a=256), "row blocks"),
+        # 2^20 + 2 draws of d_c = 256 / 16 = 16 entries: one pair past the budget
+        (["otoc", "CH", "--observable-a", "a256.json", "--observable-b", "b16.json", "--pairs", "524289"],
+         _unbuilt(UnitaryChannel, "unitary", (256, 256), d_b=16, d_a=256), "haar draws"),
     ],
     ids=["inspect-kraus", "inspect-kraus-gram", "inspect-unitary", "estimate-kraus", "estimate-kraus-form", "estimate",
          "otoc"],

@@ -32,7 +32,7 @@ from randual.dual import (
     sample_values,
     variance_bound,
 )
-from randual.linalg import hs_distance, kron, trace_distance
+from randual.linalg import kron
 from randual.rng import SeedSpec, child_seed, haar_state, haar_unitary
 
 from helpers import (
@@ -45,6 +45,7 @@ from helpers import (
     depolarizing,
     dual_from_choi,
     full_dilation_rows_oracle,
+    hs_distance,
     max_entangled_state,
     partial_trace,
     random_hermitian,
@@ -52,6 +53,7 @@ from helpers import (
     random_unitary_channel,
     sample_dual_state,
     seedsequence_rng,
+    trace_distance,
 )
 
 

@@ -6,19 +6,17 @@ from randual.linalg import (
     assert_hermitian,
     evolution_from_eig,
     hermitian_eig,
-    hs_distance,
     hs_norm,
     kron,
     sigma_x,
     sigma_y,
     sigma_z,
-    trace_distance,
     unitary_evolution,
 )
 from randual.rng import haar_unitary
 from randual.spinchain import ising_hamiltonian
 
-from helpers import max_entangled_state, partial_trace, random_hermitian
+from helpers import hs_distance, max_entangled_state, partial_trace, random_hermitian, trace_distance
 
 
 def kron_bruteforce(a, b):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randual.channels import UnitaryChannel
-from randual.dual import dual_ensemble, exact_dual
+from randual.dual import dual_ensemble, exact_dual, sample_values
 from randual.linalg import kron
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
 
@@ -176,10 +176,9 @@ def test_estimate_input_checks():
 
 
 def _block_case(name):
-    """(spec, ensemble) for one block-reading case: the ensemble's channel
-    is the spec's, except for the dilated case, which samples a 12 -> 3
-    Kraus channel through a nu = 5 dilation of the same dimensions. The
-    64/2 cases span N < d_a (41), N = d_a and N = 2; the rest have N > d_a."""
+    """(spec, ensemble of spec.channel) for one reading of G, the block
+    (m, m) of U A U^dag. The 64/2 cases (d_c = 32) span N > d_c (41),
+    N = d_a and N = 2; 8/1 (d_c = 8) and 12/3 (d_c = 4) have N > d_c."""
     rng = np.random.default_rng(60)
     if name.startswith("64/2"):
         spec = OtocSpec(random_unitary_channel(64, 2, rng), random_hermitian(rng, 64), proj0(2))
@@ -187,16 +186,11 @@ def _block_case(name):
         spec = OtocSpec(random_unitary_channel(8, 1, rng), random_hermitian(rng, 8), np.eye(1))
     else:
         spec = OtocSpec(random_unitary_channel(12, 3, rng), random_hermitian(rng, 12), np.diag([0.0, 0.0, 1.0]))
-    if name == "12/3 dilated":
-        ch = complete_dilation(random_kraus_channel(rng, 12, 3, 5))
-        assert ch.ancilla_dim > 1
-    else:
-        ch = spec.channel
     n = {"64/2 N=d_a": 64, "64/2 N=2": 2}.get(name, 41)
-    return spec, dual_ensemble(ch, n, master_seed=61)
+    return spec, dual_ensemble(spec.channel, n, master_seed=61)
 
 
-@pytest.mark.parametrize("name", ["64/2", "64/2 N=d_a", "64/2 N=2", "8/1", "12/3 m=2", "12/3 dilated"])
+@pytest.mark.parametrize("name", ["64/2", "64/2 N=d_a", "64/2 N=2", "8/1", "12/3 m=2"])
 def test_block_reading_matches_dense_oracle(name):
     spec, ens = _block_case(name)
     disjoint = otoc_estimate(spec, ens)
@@ -219,19 +213,47 @@ def test_block_reading_matches_dense_oracle(name):
     assert np.isclose(otoc_exact(spec), otoc_exact_oracle(spec), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("name", ["64/2", "8/1", "12/3 m=2"])
+def test_pair_diagonal_is_sample_values(name):
+    # the all-pairs trace drops the k = k' terms d_c psi_k^dag G psi_k: G is
+    # the quadratic form of sample_values for this (A, B)
+    spec, ens = _block_case(name)
+    d_c = spec.g.shape[0]
+    diag = d_c * np.einsum("ki,ij,kj->k", ens.draws.conj(), spec.g, ens.draws).real
+    vals = sample_values(ens, spec.a, spec.b)
+    assert np.allclose(diag, vals, rtol=1e-12, atol=1e-12 * np.abs(vals).max())
+
+
+def test_estimate_refuses_a_foreign_ensemble():
+    # a 12 -> 3 Kraus channel dilated with nu = 5 has the spec's dimensions,
+    # but its pair average is not the spec's correlator; nor does a second
+    # channel object of the same unitary pass as the spec's own
+    spec, ens = _block_case("12/3 m=2")
+    dilated = complete_dilation(random_kraus_channel(np.random.default_rng(60), 12, 3, 5))
+    assert (dilated.d_a, dilated.d_b) == (spec.channel.d_a, spec.channel.d_b) and dilated.ancilla_dim > 1
+    twin = UnitaryChannel(spec.channel.unitary, d_b=3)
+    for ch in (dilated, twin):
+        foreign = dual_ensemble(ch, ens.n_samples, master_seed=61)
+        for pairing in ("disjoint", "all"):
+            with pytest.raises(ValueError, match="own channel"):
+                otoc_estimate(spec, foreign, pairing=pairing)
+    otoc_estimate(spec, ens)
+
+
 def test_otoc_estimate_never_forms_rows():
     # 64 -> 4 unitary channel, N = 2000: the rows would take 8.2 MB; the
-    # block of each row the overlaps read is a quarter of that
+    # pair estimates hold G times the draws, a sixteenth of that, at most a
+    # d_c-square product and the N-entry diagonal
     rng = np.random.default_rng(62)
     spec = OtocSpec(random_unitary_channel(64, 4, rng), random_hermitian(rng, 64), proj0(4))
     ens = dual_ensemble(spec.channel, 2000, master_seed=63)
-    rows_bytes = ens.n_samples * ens.d_b * ens.d_a * 16
-    tracemalloc.start()
-    try:
-        otoc_estimate(spec, ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < rows_bytes
-    otoc_estimate(spec, ens, pairing="all")
+    d_c, n = spec.channel.d_c, ens.n_samples
+    for pairing in ("disjoint", "all"):
+        tracemalloc.start()
+        try:
+            otoc_estimate(spec, ens, pairing=pairing)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ens.draws.nbytes + 16 * (d_c**2 + n) + 2**15, pairing
     assert "states" not in vars(ens)

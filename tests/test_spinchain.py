@@ -7,7 +7,7 @@ import pytest
 from randual import spinchain
 from randual.channels import UnitaryChannel, validate_channel
 from randual.dual import dual_ensemble, dual_estimate, exact_dual
-from randual.linalg import hermitian_eig, hs_distance, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
+from randual.linalg import hermitian_eig, kron, sigma_x, sigma_y, sigma_z, unitary_evolution
 from randual.spinchain import (
     distance_scaling_experiment,
     ising_hamiltonian,
@@ -15,7 +15,7 @@ from randual.spinchain import (
     thermalization_experiment,
 )
 
-from helpers import partial_trace, thermalization_dense_oracle
+from helpers import hs_distance, partial_trace, thermalization_dense_oracle
 
 THERMALIZE_KEYS = {"time", "exact", "estimate", "sigma_n", "bound"}
 DISTANCE_KEYS = {"N", "trial", "hs_distance", "trace_distance", "bound"}

@@ -4,7 +4,9 @@
 
 Builds the inputs of the benchmark's `quench` and `distance` workloads for
 SEED (bench/workloads.py, read only) in a temporary directory, runs every
-workload command there, plus an all-pairs `otoc` (500 pairs, seed 5), an
+workload command there, plus two all-pairs `otoc` runs (500 pairs at seed 5,
+where N = 1000 exceeds d_c = 32, and 8 pairs at seed SEED, where N = 16 does
+not, so both branches of the pair trace run), an
 `estimate` on the unitary input with the otoc observables as a dense A and
 B (2000 samples, seed SEED), a one-sample `estimate` of the `estimate`
 command's Kraus input and observables (seed SEED), whose sigma is the exact
@@ -70,6 +72,13 @@ def main(seed: int) -> None:
             "--pairing", "all", "--pairs", "500", "--seed", "5", "--output-dir", str(out),
         ]  # fmt: skip
         run("otoc-all", argv, out / "otoc.json")
+        out = work / "otoc-all-few"
+        argv = [
+            "otoc", str(work / "unitary.json"),
+            "--observable-a", str(work / "otoc_a.json"), "--observable-b", str(work / "otoc_b.json"),
+            "--pairing", "all", "--pairs", "8", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("otoc-all-few", argv, out / "otoc.json")
         out = work / "estimate-unitary"
         argv = [
             "estimate", str(work / "unitary.json"),

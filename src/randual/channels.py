@@ -37,7 +37,7 @@ def _as_complex(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(m, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Channel in operator-sum form; operators stacked as (r, d_b, d_a)."""
 
@@ -60,7 +60,7 @@ class KrausChannel:
         return self.operators.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryChannel:
     """Channel carried by a unitary on input (x) ancilla, tracing down to the
     slowest factor of the (d_b, d_c) layout; d_a defaults to the unitary's

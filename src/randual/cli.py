@@ -40,12 +40,13 @@ import numpy as np
 
 from . import _BLAS_THREAD_VARS, __version__
 from .channels import KrausChannel, _matrix_from_json, dilation_dim, load_channel, validate_channel
-from .dual import distance_table, dual_ensemble, estimate_observable
+from .dual import _observables, distance_table, dual_ensemble, estimate_observable
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
     DEFAULT_H,
     KRYLOV_MAX,
+    MAX_SITES,
     distance_scaling_experiment,
     sector_dim,
     thermalization_experiment,
@@ -167,27 +168,17 @@ def _require_valid(diag) -> None:
         )
 
 
-def _check_budget(force: bool, **elements: int | tuple[int, int]) -> None:
+def _check_budget(force: bool, **elements: int) -> None:
     """Refuse, unless forced, a command whose largest array exceeds MAX_UNFORCED_BYTES.
 
     elements names each array the command is about to allocate with its
-    element count at 16 bytes each (complex128): an exact int m, or a pair
-    (m, e) for m * 2^e. Pairs are compared by exponent, so pricing 2^(2n)
-    elements costs nothing even when n is absurd.
+    exact element count, at 16 bytes each (complex128).
     """
-
-    def log2_bytes(m: int, e: int) -> float:
-        return math.log2(m) + e + 4 if m else -math.inf
-
-    sizes = {k: v if isinstance(v, tuple) else (v, 0) for k, v in elements.items()}
-    name, (m, e) = max(sizes.items(), key=lambda item: log2_bytes(*item[1]))
-    # with m >= 1, 2^(e+4) bytes past the budget settles it without building m << e
-    over = m > 0 and (e + 4 > _BUDGET_LOG2 or 16 * m << e > MAX_UNFORCED_BYTES)
-    if over and not force:
+    name, count = max(elements.items(), key=lambda item: item[1])
+    if 16 * count > MAX_UNFORCED_BYTES and not force:
         raise ResourceCapError(
-            f"the {name.replace('_', ' ')} needs 2^{log2_bytes(m, e):.1f} bytes, "
-            f"which exceeds the budget of 2^{_BUDGET_LOG2} bytes; "
-            "pass --force to proceed"
+            f"the {name.replace('_', ' ')} needs 2^{math.log2(16 * count):.1f} bytes, "
+            f"which exceeds the budget of 2^{_BUDGET_LOG2} bytes; pass --force to proceed"
         )
 
 
@@ -235,12 +226,12 @@ def _load_observable(text: str) -> np.ndarray:
 def _channel_inputs(args: argparse.Namespace, n_rows: int, *formed: str):
     """The channel and, if the command takes them, observables A and B:
     loaded (config), priced with n_rows samples and the formed arrays
-    (budget), then validated, in that order."""
+    (budget), then validated, the channel first, before anything is sampled."""
     ch = _load_channel(args.channel)
     observables = [_load_observable(getattr(args, k)) for k in ("observable_a", "observable_b") if k in args]
     _check_budget(args.force, **_channel_elements(ch, n_rows, *formed))
     _require_valid(validate_channel(ch))
-    return ch, *observables
+    return ch, *(_observables(*observables, ch.d_a, ch.d_b) if observables else ())
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -253,13 +244,15 @@ def _parse_int_list(text: str) -> list[int]:
     return values
 
 
-def _at_least(minimum: int):
-    """argparse type for an integer count flag of at least minimum."""
+def _count(minimum: int, maximum: float = math.inf):
+    """argparse type for an integer count flag from minimum to maximum."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return integer
@@ -333,21 +326,20 @@ def cmd_thermalize(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
     if args.t_step <= 0 or args.t_max < 0:
         raise ConfigError("need t_step > 0 and t_max >= 0")
-    # exact in rationals: t_max / t_step can overflow a float
-    n_times = math.floor(Fraction(args.t_max + 1e-9) / Fraction(args.t_step)) + 1
-    # the Krylov basis: min(m, KRYLOV_MAX) + 1 vectors on the m-dimensional
-    # mirror-even sector; past 62 sites its bound (KRYLOV_MAX + 1) 2^n, priced as a pair
-    m = sector_dim(args.n) if args.n <= 62 else 0
+    # the times i t_step below t_max + 1e-9, counted in rationals: t_max / t_step can overflow a float
+    n_times = math.ceil(Fraction(args.t_max + 1e-9) / Fraction(args.t_step))
+    # the Krylov basis: min(m, KRYLOV_MAX) + 1 vectors on the m-dimensional mirror-even sector
+    m = sector_dim(args.n)
     _check_budget(
         args.force,
-        krylov_basis=(min(m, KRYLOV_MAX) + 1) * m if m else (KRYLOV_MAX + 1, args.n),
-        haar_draws=(args.n_samples, args.n - 1),
+        krylov_basis=(min(m, KRYLOV_MAX) + 1) * m,
+        haar_draws=args.n_samples * 2 ** (args.n - 1),
         time_grid=n_times,
     )
     rows = thermalization_experiment(
         n=args.n,
         polarization=args.pol,
-        times=np.arange(0.0, args.t_max + 1e-9, args.t_step),
+        times=np.arange(n_times) * args.t_step,
         n_samples=args.n_samples,
         seed=args.seed,
         observable=args.obs,
@@ -368,9 +360,9 @@ def cmd_scaling(args: argparse.Namespace) -> None:
         raise ValidationFailure(f"need 0 <= na <= n and 1 <= nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
     _check_budget(
         args.force,
-        dense_matrix=(1, 2 * max(args.n, n_a + args.nb)),
-        state_rows=(max(args.n_values), n_a + args.nb),
-        haar_draws=(max(args.n_values), args.n - args.nb),
+        dense_matrix=4 ** max(args.n, n_a + args.nb),
+        state_rows=max(args.n_values) * 2 ** (n_a + args.nb),
+        haar_draws=max(args.n_values) * 2 ** (args.n - args.nb),
     )
     rows = distance_scaling_experiment(
         n=args.n,
@@ -414,10 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
             default=[10, 50, 100, 500],
             help="comma-separated ensemble sizes (default 10,50,100,500)",
         )
-        p.add_argument("--trials", type=_at_least(1), default=20, help="trials per size (default 20)")
+        p.add_argument("--trials", type=_count(1), default=20, help="trials per size (default 20)")
 
     def chain(p) -> None:
-        p.add_argument("--n", type=_at_least(2), required=True, help="spins in the chain")
+        p.add_argument("--n", type=_count(2, MAX_SITES), required=True, help=f"spins in the chain, 2 to {MAX_SITES}")
         p.add_argument("--g", type=_finite_float, default=DEFAULT_G, help=f"transverse field (default {DEFAULT_G})")
         p.add_argument("--h", type=_finite_float, default=DEFAULT_H, help=f"longitudinal field (default {DEFAULT_H})")
 
@@ -426,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("estimate", cmd_estimate, "estimate tr[X(A)B] from random dual states")
     channel(p, b_help="output observable (JSON or path)")
-    p.add_argument("--n-samples", type=_at_least(1), default=1000, help="ensemble size (default 1000)")
+    p.add_argument("--n-samples", type=_count(1), default=1000, help="ensemble size (default 1000)")
 
     p = command("dual-distance", cmd_dual_distance, "estimator-to-exact-dual distance table")
     channel(p)
@@ -434,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("otoc", cmd_otoc, "pair-sampled out-of-time-order correlator")
     channel(p, "channel spec JSON file (unitary_induced)", "rank-1 computational projector (JSON or path)")
-    p.add_argument("--pairs", type=_at_least(1), default=1000, help="sample pairs (default 1000)")
+    p.add_argument("--pairs", type=_count(1), default=1000, help="sample pairs (default 1000)")
     p.add_argument(
         "--pairing",
         choices=["disjoint", "all"],
@@ -451,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="first-spin observable (default: same as --pol)",
     )
-    p.add_argument("--n-samples", type=_at_least(1), default=200, help="samples per time point (default 200)")
+    p.add_argument("--n-samples", type=_count(1), default=200, help="samples per time point (default 200)")
     p.add_argument("--t-max", type=_finite_float, default=10.0, help="end of the time grid (default 10)")
     p.add_argument("--t-step", type=_finite_float, default=0.25, help="time step (default 0.25)")
 
@@ -465,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags every subcommand shares, after its own; only inspect writes no files by default
     for name, p in sub.choices.items():
         output_dir = None if name == "inspect" else "."
-        p.add_argument("--seed", type=_at_least(0), default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=_count(0), default=0, help="master seed (default 0)")
         p.add_argument(
             "--output-dir",
             default=output_dir,

@@ -76,7 +76,7 @@ KIND_UNITARY = "unitary_induced"
 KIND_POSTSELECTED = "general_postselected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualStateEnsemble:
     """Random dual states of a channel as their Haar draws on the
     environment of its minimal Stinespring isometry V, (N, d_env) with
@@ -93,7 +93,7 @@ class DualStateEnsemble:
     master_seed: int
     channel: Channel
     kind: str = field(init=False)
-    _cols: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _cols: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ch, p = self.channel, np.asarray(self.draws, dtype=complex)
@@ -371,7 +371,7 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
     |mu_1| / sqrt(N) regardless of dimensions. A is a projector matrix or a
     unit vector v meaning A = |v><v|, a matrix read as its vector
     A[:, j] / sqrt(A_jj) (j its largest diagonal entry; v up to a phase);
-    mu_1 is sum_k <K_k v|B|K_k v> over the operators kraus_operators(ch).
+    mu_1 is sum_k <K_k v|B|K_k v>, K_k v the columns of Phi = V v.
     """
     a, b = _observables(a, b, ch.d_a, ch.d_b)
     if np.linalg.eigvalsh(b)[0] < -PROJECTOR_ATOL:
@@ -382,8 +382,8 @@ def rank1_variance_bound(ch: Channel, a: np.ndarray, b: np.ndarray) -> float:
         a = a[:, j] / np.sqrt(a[j, j].real)
     elif abs(np.vdot(a, a).real - 1.0) > PROJECTOR_ATOL:
         raise ValueError("A vector must have unit norm (tr |v><v| = 1)")
-    kv = kraus_operators(ch) @ a
-    mu1 = np.einsum("km,kn,mn->", kv.conj(), kv, b, optimize=True)
+    phi = _quadratic_form(ch, _isometry(ch), a, b)[2]
+    mu1 = np.einsum("mk,mn,nk->", phi.conj(), b, phi, optimize=True)
     return float(mu1.real) ** 2
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import UnitaryChannel, kind_of
+from .channels import UnitaryChannel, _isometry, kind_of
 from .dual import (
     KIND_UNITARY,
     PROJECTOR_ATOL,
@@ -31,14 +31,15 @@ from .dual import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtocSpec:
     """Correlator specification: channel, input observable A, output B.
 
     A and B pass the estimators' observable checks, A as a matrix; B must be
     a rank-1 projector |m><m| diagonal in the computational basis, kept as m.
     g is G = U_m A U_m^dag, the d_c x d_c block (m, m) of U A U^dag, which is
-    tr_b[(B (x) I_c) U A U^dag]: d_c d_a^2 work, once.
+    tr_b[(B (x) I_c) U A U^dag]: d_c d_a^2 work, once, U_m read off the
+    channel's isometry; for a PartialTrace, U = I and G is A's block (m, m).
     """
 
     channel: UnitaryChannel
@@ -60,9 +61,9 @@ class OtocSpec:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "m", int(np.argmax(np.diag(b).real)))
-        ch = self.channel
-        u_m = ch.unitary.reshape(ch.d_b, ch.d_c, ch.d_a)[self.m]
-        object.__setattr__(self, "g", u_m @ a @ u_m.conj().T)
+        ch, m, v = self.channel, self.m, _isometry(self.channel)
+        g = a.reshape(ch.d_b, ch.d_c, ch.d_b, ch.d_c)[m, :, m] if v is None else v[m] @ a @ v[m].conj().T
+        object.__setattr__(self, "g", g)
 
 
 def otoc_exact(spec: OtocSpec) -> float:

@@ -18,7 +18,7 @@ UnitaryChannel of U(t): unitary-induced when the whole chain is the input,
 dilated when the input is restricted to the first n_a spins.
 
 One bit loop, _ising_block, gives the dense H or its mirror-even block as
-a diagonal and one flip map per spin, without a size check; the caller
+a diagonal and one flip map per spin, for 2 to MAX_SITES spins; the caller
 budgets them. Defaults target interactive runs (n = 8, d = 256). The quench
 evolves the state, not the operator, in the mirror-even sector: H commutes
 with the mirror R (site j <-> n+1-j), which fixes both polarized states, so
@@ -46,6 +46,9 @@ from .rng import child_seed
 DEFAULT_G = 1.05
 DEFAULT_H = 0.5
 
+# the longest chain: 2^n basis indices form an int64 range, which np.arange(2**63) is not
+MAX_SITES = 62
+
 # Lanczos steps of the quench: the first run, each growth and the cap on the
 # basis, which the CLI budget prices; the error bound, relative to the state
 KRYLOV_START, KRYLOV_STEP, KRYLOV_MAX = 64, 32, 480
@@ -57,7 +60,7 @@ _PAULI_1 = {"z": sigma_z, "y": sigma_y}
 def ising_hamiltonian(n: int, g: float, h: float) -> np.ndarray:
     """Dense mixed-field Ising Hamiltonian, open boundary, site 1 slowest.
 
-    Real symmetric float64, 2^n x 2^n, built without a size check.
+    Real symmetric float64, 2^n x 2^n, built without a budget check.
     """
     diag, flips, weights, _, _ = _ising_block(n, g, h, mirror=False)
     ham = np.diag(diag)
@@ -74,7 +77,7 @@ def sector_dim(n: int) -> int:
 
 def _ising_block(n: int, g: float, h: float, mirror: bool):
     """P^T H P from the bits, as its diagonal and flip maps, and the map back;
-    refuses chains under 2 spins.
+    refuses chains outside 2 to MAX_SITES spins.
 
     Column j of the isometry P is (e_x + e_R(x))/c_j for an orbit {x, R(x)},
     c_j = sqrt(2) for a pair and 2 for a palindrome. With mirror, R is the
@@ -85,8 +88,8 @@ def _ising_block(n: int, g: float, h: float, mirror: bool):
     and (P^T H P v)_j = diag_j v_j + sum_k weights[k, j] v[flips[k, j]].
     Also returns each basis index's column and P's entry there.
     """
-    if n < 2:
-        raise ValueError("need at least 2 spins")
+    if not 2 <= n <= MAX_SITES:
+        raise ValueError(f"need at least 2 spins and at most {MAX_SITES}, got {n}")
     idx = np.arange(2**n)
     rev = sum(((idx >> k) & 1) << (n - 1 - k) for k in range(n)) if mirror else idx
     reps = np.flatnonzero(idx <= rev)

@@ -20,8 +20,9 @@ from randual.channels import (
     stinespring_dilate,
     validate_channel,
 )
-from randual.dual import duality_pairing, exact_dual
+from randual.dual import dual_ensemble, duality_pairing, exact_dual
 from randual.linalg import hs_norm, kron
+from randual.otoc import OtocSpec
 from randual.rng import haar_unitary
 
 from helpers import (
@@ -351,6 +352,39 @@ def test_partial_trace_repr_forms_no_identity():
     finally:
         tracemalloc.stop()
     assert text == "PartialTrace(d_a=4096, d_b=2)"
+    assert peak < 2**16
+
+
+def test_channels_ensembles_and_specs_compare_by_identity():
+    # the generated == compared array fields (ValueError) and left them unhashable
+    unitary = UnitaryChannel(haar_unitary(4, 1), d_b=2)
+
+    def build():
+        return [
+            KrausChannel(np.eye(2)[np.newaxis]),
+            UnitaryChannel(unitary.unitary, d_b=2),
+            PartialTrace(4, 2),
+            dual_ensemble(unitary, 3, 0),
+            OtocSpec(unitary, np.eye(4), np.diag([1.0, 0.0])),
+        ]
+
+    objects, twins = build(), build()
+    for obj, twin in zip(objects, twins):
+        assert obj == obj and obj != twin
+    keys = {obj: k for k, obj in enumerate(objects + twins)}
+    assert [keys[obj] for obj in objects + twins] == list(range(10))
+
+
+def test_partial_trace_comparison_forms_no_identity():
+    # the generated == read .unitary on both sides: two 2^12-square identities
+    a, b = PartialTrace(2**12, 2), PartialTrace(2**12, 2)
+    tracemalloc.start()
+    try:
+        equal = a == b
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not equal
     assert peak < 2**16
 
 

@@ -595,7 +595,7 @@ def no_allocation(monkeypatch):
     "argv",
     [
         ["thermalize", "--n", "17", "--pol", "z"],
-        ["thermalize", "--n", "600", "--pol", "z"],
+        ["thermalize", "--n", "62", "--pol", "z"],
         ["scaling", "--n", "12"],
         ["thermalize", "--n", "4", "--pol", "z", "--t-step", "1e-9"],
         ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
@@ -603,7 +603,7 @@ def no_allocation(monkeypatch):
         ["dual-distance", "{isometry}"],
         ["inspect", "{row}"],
     ],
-    ids=["17-sites", "600-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
+    ids=["17-sites", "62-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
          "128x64-isometry", "1x8192-kraus-row"],
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
@@ -692,9 +692,38 @@ def test_thermalize_prices_the_krylov_basis(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "thermalization_experiment", lambda **kwargs: [])
     for n, m in [(3, 6), (10, 528), (16, 32896)]:
         assert cli.main(["thermalize", "--n", str(n), "--pol", "z", "--output-dir", str(tmp_path)]) == 0
-        assert priced == {"krylov_basis": (min(m, 480) + 1) * m, "haar_draws": (200, n - 1), "time_grid": 41}
-    assert cli.main(["thermalize", "--n", "63", "--pol", "z", "--output-dir", str(tmp_path), "--force"]) == 0
-    assert priced["krylov_basis"] == (481, 63)
+        assert priced == {"krylov_basis": (min(m, 480) + 1) * m, "haar_draws": 200 * 2 ** (n - 1), "time_grid": 41}
+    # the longest chain is priced as exact integers too, 2^73.9 bytes of basis
+    assert cli.main(["thermalize", "--n", "62", "--pol", "z", "--output-dir", str(tmp_path), "--force"]) == 0
+    assert priced["krylov_basis"] == 481 * (2**61 + 2**30)
+
+
+@pytest.mark.parametrize(
+    "argv, n_times",
+    [
+        # the quench workload's grid, the default grid, and a step of the 1e-9
+        # slack itself, where floor((t_max + 1e-9) / t_step) + 1 priced 3 points
+        # for the 2 that ran
+        (["--t-max", "0.5", "--t-step", "0.25"], 3),
+        ([], 41),
+        (["--t-max", "1e-9", "--t-step", "1e-9"], 2),
+    ],
+    ids=["bench", "default", "slack-step"],
+)
+def test_thermalize_prices_the_time_grid_it_runs(argv, n_times, monkeypatch, tmp_path):
+    priced = {}
+    check_budget = cli._check_budget
+
+    def recording(force, **elements):
+        priced.update(elements)
+        check_budget(force, **elements)
+
+    monkeypatch.setattr(cli, "_check_budget", recording)
+    argv = ["thermalize", "--n", "3", "--pol", "z", "--n-samples", "2", *argv, "--output-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    with open(tmp_path / "thermalize.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert priced["time_grid"] == len(rows) == n_times
 
 
 def test_thermalize_holds_no_identity(tmp_path):
@@ -737,7 +766,7 @@ def test_budget_boundary_and_force():
         cli._check_budget(False, dense_matrix=4096**2 + 1, time_grid=3)
     with pytest.raises(cli.ResourceCapError, match="time grid"):
         cli._check_budget(False, dense_matrix=4, time_grid=2**40)
-    cli._check_budget(True, dense_matrix=1 << 1200)  # --n 600 --force
+    cli._check_budget(True, dense_matrix=4**62)  # scaling --n 62 --force
 
 
 @pytest.fixture(scope="module")
@@ -853,16 +882,42 @@ def test_estimate_rows_are_priced_at_the_width_sampled(tmp_path, monkeypatch, ca
     assert "the haar draws needs" in capsys.readouterr().err
 
 
-def test_budget_prices_absurd_site_counts_without_big_ints(tmp_path):
-    # 2^(2n) elements for n = 10^7 is priced by its exponent, not built as an int
+@pytest.mark.parametrize("n", ["63", "10000000"])
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["unforced", "forced"])
+@pytest.mark.parametrize("command", [["thermalize", "--pol", "z"], ["scaling"]], ids=["thermalize", "scaling"])
+def test_chains_past_max_sites_are_config_errors(command, force, n, no_allocation, tmp_path, capsys):
+    # 2^n basis indices past 62 sites overflow int64: the parser refuses the
+    # chain before anything is priced or built, --force or not
     tracemalloc.start()
     try:
-        code = cli.main(["thermalize", "--n", "10000000", "--pol", "z", "--output-dir", str(tmp_path)])
+        code = cli.main([*command, "--n", n, *force, "--output-dir", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 3
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "a",
+    [mat_json(np.eye(8)), mat_json(np.triu(np.ones((64, 64))))],
+    ids=["wrong-size", "non-hermitian"],
+)
+def test_estimate_checks_observables_before_sampling(a, monkeypatch, tmp_path, capsys):
+    # 64 -> 2 unitary: an 8 x 8 A, or a 64 x 64 A that is not Hermitian,
+    # fails before any draw
+    path = tmp_path / "unitary.json"
+    save_channel(UnitaryChannel(haar_unitary(64, 3), d_b=2), str(path))
+
+    def sampling(*args, **kwargs):
+        raise AssertionError("sampled before the observables were checked")
+
+    monkeypatch.setattr(cli, "dual_ensemble", sampling)
+    argv = ["estimate", str(path), "--observable-a", a, "--observable-b", SIGMA_Z_JSON,
+            "--n-samples", "300000", "--output-dir", str(tmp_path / "out")]  # fmt: skip
+    assert cli.main(argv) == 2
+    assert "validation failure" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

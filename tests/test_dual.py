@@ -525,6 +525,24 @@ def test_rank1_bound_matches_choi_pairing(kind):
     assert _rel_err(rank1_variance_bound(ch, a, b), want) <= 1e-12
 
 
+def test_rank1_bound_of_a_partial_trace_forms_no_identity():
+    # kraus_operators of a 2^10 -> 2 partial trace is its 16 MiB identity, and a copy
+    rng = np.random.default_rng(41)
+    ch = PartialTrace(2**10, 2)
+    v = _random_vector(rng, ch.d_a, True)
+    b = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+    tracemalloc.start()
+    try:
+        got = rank1_variance_bound(ch, v, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    kv = kraus_operators(ch) @ v
+    want = float(np.einsum("km,kn,mn->", kv.conj(), kv, b).real) ** 2
+    assert _rel_err(got, want) <= 1e-12
+
+
 def test_rank1_bound_vector_validation():
     ch = depolarizing(0.3)
     psd = np.array([[0.7, 0.1], [0.1, 0.4]], dtype=complex)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randual.channels import UnitaryChannel
+from randual.channels import PartialTrace, UnitaryChannel
 from randual.dual import dual_ensemble, exact_dual, sample_values
 from randual.linalg import kron
 from randual.otoc import OtocSpec, otoc_estimate, otoc_exact
@@ -257,3 +257,21 @@ def test_otoc_estimate_never_forms_rows():
             tracemalloc.stop()
         assert peak <= ens.draws.nbytes + 16 * (d_c**2 + n) + 2**15, pairing
     assert "states" not in vars(ens)
+
+
+def test_partial_trace_spec_reads_a_block_of_a():
+    # 2^10 -> 2 partial trace: G is A's (m, m) block, where slicing U_m out of
+    # .unitary formed the 16 MiB identity; values are those of the explicit identity
+    rng = np.random.default_rng(71)
+    a = random_hermitian(rng, 2**10)
+    b = np.diag([0.0, 1.0])
+    tracemalloc.start()
+    try:
+        spec = OtocSpec(PartialTrace(2**10, 2), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    dense = OtocSpec(UnitaryChannel(np.eye(2**10), d_b=2), a, b)
+    assert np.abs(spec.g - dense.g).max() <= 1e-12
+    assert abs(otoc_exact(spec) - otoc_exact(dense)) <= 1e-12 * otoc_exact(dense)

@@ -334,6 +334,18 @@ def test_distance_scaling_validation(monkeypatch):
             distance_scaling_experiment(4, 4, 1, t, [10], 1, 0)
 
 
+def test_chain_entry_points_refuse_sites_past_the_bound():
+    # 2^63 basis indices overflow int64, where np.arange(2**63) is an empty float range
+    n = spinchain.MAX_SITES + 1
+    for run in (
+        lambda: ising_hamiltonian(n, 1.05, 0.5),
+        lambda: quench(n=n),
+        lambda: distance_scaling_experiment(n, n, 1, 1.0, [10], 1, 0),
+    ):
+        with pytest.raises(ValueError, match=f"at most {spinchain.MAX_SITES}, got {n}"):
+            run()
+
+
 def _reduced_state(n, n_b, t):
     """rho_S(t) of the first n_b spins of the z-polarized chain."""
     psi = unitary_evolution(ising_hamiltonian(n, 1.05, 0.5), t) @ polarized_state(n, "z")

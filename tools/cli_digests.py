@@ -18,9 +18,10 @@ trials, seed SEED),
 two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
 on none, output on the first 2), a `scaling` run of an odd chain at
 non-default fields (7 spins, input on the first 3, output on the first 2,
-g = 0.6, h = -1.3) and a y-polarized `thermalize` of an odd chain (9 spins,
-observable sigma_z, t up to 2), the last four with SEED as their master
-seed, each as
+g = 0.6, h = -1.3), a y-polarized `thermalize` of an odd chain (9 spins,
+observable sigma_z, t up to 2) and one of 10 spins on the default 41-point
+grid (the one run whose Lanczos basis grows past its first 64 steps), the
+last five with SEED as their master seed, each as
 `python -m randual` from this checkout's src with RANDUAL_THREADS=1 and the
 BLAS thread variables unset. Prints one `name sha256[:16]` line per result
 file; two checkouts print the same lines exactly when their result files
@@ -114,6 +115,9 @@ def main(seed: int) -> None:
             "--seed", str(seed), "--output-dir", str(out),
         ]  # fmt: skip
         run("thermalize-n9", argv, out / "thermalize.csv")
+        out = work / "thermalize-n10-y"
+        argv = ["thermalize", "--n", "10", "--pol", "y", "--seed", str(seed), "--output-dir", str(out)]
+        run("thermalize-n10-y", argv, out / "thermalize.csv")
 
 
 if __name__ == "__main__":

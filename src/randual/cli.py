@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _BLAS_THREAD_VARS, __version__
 from .channels import KrausChannel, _matrix_from_json, dilation_dim, load_channel, validate_channel
-from .dual import _observables, distance_table, dual_ensemble, estimate_observable
+from .dual import _dense_cell, _observables, distance_table, dual_ensemble, estimate_observable
 from .otoc import OtocSpec, otoc_estimate, otoc_exact
 from .spinchain import (
     DEFAULT_G,
@@ -189,9 +189,12 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
     d_a x d_a Gram, or U^dag U for a channel that carries a unitary. Sampling
     draws n_rows vectors on the environment of the channel's minimal
     Stinespring isometry, d_env = r entries for a Kraus stack; formed names
-    what the command builds from them: state_rows, exact_dual or
+    what the command builds from them: state_rows, exact_dual,
     quadratic_form (the d_b x d_env x d_env products a dense A sums into its
-    d_env-square form).
+    d_env-square form) or distances, a distance table of at most n_rows
+    samples per cell: a dense cell (N + d_env >= d_b d_a) forms the rows and
+    the exact dual, a cell below it only the d_env-square draw gram and W,
+    which is the Kraus stack's size or fits in the unitary.
     """
     d_env, d = dilation_dim(ch) // ch.d_b, ch.d_b * ch.d_a
     if isinstance(ch, KrausChannel):
@@ -200,8 +203,10 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
         elements = {"unitary": ch.d_u * ch.d_u}
     if n_rows:
         elements["haar_draws"] = n_rows * d_env
-    sizes = {"state_rows": n_rows * d, "exact_dual": d * d}
+    sizes = {"state_rows": n_rows * d, "exact_dual": d * d, "draw_gram": d_env * d_env}
     sizes["quadratic_form"] = ch.d_b * d_env * d_env
+    distances = ("state_rows", "exact_dual") if _dense_cell(n_rows, ch) else ("draw_gram",)
+    formed = [name for f in formed for name in (distances if f == "distances" else (f,))]
     return elements | {name: sizes[name] for name in formed}
 
 
@@ -294,7 +299,7 @@ def cmd_estimate(args: argparse.Namespace) -> None:
 
 def cmd_dual_distance(args: argparse.Namespace) -> None:
     t0 = time.monotonic()
-    (ch,) = _channel_inputs(args, max(args.n_values), "state_rows", "exact_dual")
+    (ch,) = _channel_inputs(args, max(args.n_values), "distances")
     rows = distance_table(ch, args.n_values, args.trials, args.seed)
     path = _write_result(args, t0, "distances.csv", rows, DISTANCE_COLUMNS)
     print(f"{len(rows)} rows -> {path}")

@@ -34,14 +34,15 @@ tr[X(A) B] with an exact variance, (m tr M^2 - (tr M)^2) / (m + 1), for
 every channel kind.
 
 Distances to the exact dual need it only when it is small. With
-rho_X = W W^dag (exact_dual_factor, r columns) and S the samples as rows,
-rho_est - rho_X = A D A^dag for the factor pair
+rho_X = W W^dag (exact_dual_factor, r = d_env columns), row k is
+sqrt(r) W psi_k, so
 
-    A = [S^T / sqrt(N) | W],   D = diag(+1 (N times), -1 (r times)).
+    rho_est - rho_X = W (r Q - I) W^dag,   Q = (1/N) sum_k psi_k psi_k^dag.
 
-When N + r < d_b d_a, a QR of A leaves the nonzero eigenvalues as those of
-the (N + r)-square R D R^dag, O(d_b d_a (N + r)^2) work; otherwise the
-d x d difference is formed.
+When N + r < d_b d_a, its nonzero eigenvalues are those of the r-square
+R (r Q - I) R^dag, R the triangular factor of a QR of W: O(N r^2 + r^3)
+work on the draws, with no row formed; otherwise the d x d difference is
+formed.
 
 dual_ensemble samples every channel kind through its minimal Stinespring
 isometry V, (d_b, d_e, d_a) (channels.stinespring_dilate): psi is Haar on
@@ -52,9 +53,9 @@ its ancilla-0 columns (d_e = d_c); a KrausChannel's is its own stack
 (nu = 1, a unitary-induced channel or a Kraus stack of r d_b = d_a), the
 rows are normalized only in expectation but average to the exact dual.
 Ensembles keep the Haar draws: rows are formed on first use, by the
-rank-N estimator and the distances; observables read the draws through
-their quadratic form M, and the OTOC through its d_c x d_c matrix G
-(randual.otoc), which is M for B = |m><m|.
+rank-N estimator and so by a dense distance cell; observables read the
+draws through their quadratic form M, and the OTOC through its d_c x d_c
+matrix G (randual.otoc), which is M for B = |m><m|.
 """
 from __future__ import annotations
 
@@ -391,32 +392,40 @@ def distance_report(ens: DualStateEnsemble) -> DistanceReport:
     """Distances from the rank-N estimator to the exact dual W W^dag, with
     the 1/sqrt(N) expected Hilbert-Schmidt bound for context.
 
-    W = exact_dual_factor(ens.channel). The difference is
-    A D A^dag with A = [S^T/sqrt(N) | W] and D = diag(+1 per sample, -1 per
-    column of W); both distances are norms of its eigenvalues. When A has
-    fewer columns than rows, A = QR and the nonzero eigenvalues are those of
-    R D R^dag, an (N + r)-square matrix; otherwise the d x d difference is
-    formed directly.
+    W = exact_dual_factor(ens.channel) has r = d_env columns and row k is
+    sqrt(r) W psi_k, so the difference is W (r Q - I) W^dag with Q the
+    r x r Gram (1/N) draws^T conj(draws); both distances are norms of its
+    eigenvalues. When N + r < d_b d_a they are those of R (r Q - I) R^dag,
+    R the r x r factor of a QR of W (a Cholesky of W^dag W would fail on a
+    rank-deficient W), and ens.states is never read; otherwise the d x d
+    difference dual_estimate(ens) - W W^dag is formed directly.
     """
-    w = exact_dual_factor(ens.channel)
-    return _distance_report(ens, w, lambda: exact_dual(ens.channel))
+    ch = ens.channel
+    if _dense_cell(ens.n_samples, ch):
+        return _distance_report(ens, None, exact_dual(ch))
+    return _distance_report(ens, np.linalg.qr(exact_dual_factor(ch), mode="r"), None)
 
 
-def _distance_report(ens: DualStateEnsemble, w: np.ndarray, exact) -> DistanceReport:
-    """distance_report against the factor w; exact() returns W W^dag and is
-    called only when the d x d difference is formed. Its result is only
-    read, so one cached matrix can serve every cell of a table."""
-    n, d = ens.states.shape
-    if n + w.shape[1] < d:
-        a = np.empty((d, n + w.shape[1]), dtype=complex)
-        np.divide(ens.states.T, np.sqrt(n), out=a[:, :n])
-        a[:, n:] = w
-        r = np.linalg.qr(a, mode="r")
-        diff = r[:, :n] @ r[:, :n].conj().T
-        diff -= r[:, n:] @ r[:, n:].conj().T
-    else:
+def _dense_cell(n_samples: int, ch: Channel) -> bool:
+    """Whether a distance cell of n_samples forms the d x d difference:
+    N + r >= d_b d_a, when the r-square form no longer saves work."""
+    return n_samples + dilation_dim(ch) // ch.d_b >= ch.d_b * ch.d_a
+
+
+def _distance_report(ens: DualStateEnsemble, tri: np.ndarray | None, exact: np.ndarray | None) -> DistanceReport:
+    """distance_report given tri = R, W's r x r triangular factor, for a cell
+    below the split, or exact = W W^dag for a dense cell. Both are only
+    read, so one of each can serve every cell of a table."""
+    n = ens.n_samples
+    if _dense_cell(n, ens.channel):
         diff = dual_estimate(ens)
-        diff -= exact()
+        diff -= exact
+    else:
+        p = ens.draws
+        gram = p.T @ p.conj()
+        gram *= p.shape[1] / n
+        gram.flat[:: p.shape[1] + 1] -= 1.0
+        diff = tri @ gram @ tri.conj().T
     lam = np.linalg.eigvalsh(diff)
     return DistanceReport(
         hs_distance=float(np.linalg.norm(lam)),
@@ -430,23 +439,24 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     """Estimator-to-exact-dual distances across ensemble sizes.
 
     Each (N, trial) cell draws a fresh ensemble seeded by
-    child_seed(seed, N index, trial) and measures it against one exact-dual
-    factor W. W W^dag is formed once, by the first cell that needs the
-    d x d difference, and shared by the rest. Rows carry N, trial,
-    hs_distance, trace_distance and the 1/sqrt(N) mean bound.
+    child_seed(seed, N index, trial) and measures it as distance_report
+    does, from one R and one W W^dag formed before the first cell: R, the
+    r x r factor of exact_dual_factor(ch), when some cell lies below the
+    split (N + r < d_b d_a), and W W^dag when some cell does not. Rows carry
+    N, trial, hs_distance, trace_distance and the 1/sqrt(N) mean bound.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     n_values = [operator.index(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
-    factor = exact_dual_factor(ch)
-    exact = functools.cache(lambda: exact_dual(ch))
+    exact = exact_dual(ch) if _dense_cell(max(n_values), ch) else None
+    tri = None if _dense_cell(min(n_values), ch) else np.linalg.qr(exact_dual_factor(ch), mode="r")
     rows = []
     for i, n_samples in enumerate(n_values):
         for trial in range(trials):
             ens = dual_ensemble(ch, n_samples, child_seed(seed, i, trial))
-            rep = _distance_report(ens, factor, exact)
+            rep = _distance_report(ens, tri, exact)
             rows.append(
                 {
                     "N": n_samples,

@@ -600,7 +600,7 @@ def no_allocation(monkeypatch):
         ["thermalize", "--n", "4", "--pol", "z", "--t-step", "1e-9"],
         ["estimate", "{depol}", "--observable-a", SIGMA_Z_JSON, "--observable-b",
          SIGMA_Z_JSON, "--n-samples", "100000000"],
-        ["dual-distance", "{isometry}"],
+        ["dual-distance", "{isometry}", "--n-values", "10,8191"],
         ["inspect", "{row}"],
     ],
     ids=["17-sites", "62-sites", "scaling-12-sites", "tiny-t-step", "1e8-samples",
@@ -608,7 +608,8 @@ def no_allocation(monkeypatch):
 )  # fmt: skip
 def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_path, capsys):
     isometry = tmp_path / "isometry.json"
-    # d_a = 64, d_b = 128: dilation dimension only 128, but an 8192^2 exact dual
+    # d_a = 64, d_b = 128, r = 1: dilation dimension only 128, but N = 8191
+    # makes N + r = d, a dense cell, with 8191 rows and an 8192^2 exact dual
     save_channel(KrausChannel(np.eye(128, 64)[np.newaxis]), str(isometry))
     # one 1 x 8192 operator: a 128 KiB stack, but validation's Gram is 8192^2
     row = tmp_path / "row.json"
@@ -757,6 +758,13 @@ def test_budget_boundary_and_force():
     assert dense == {"unitary": 64, "haar_draws": 40, "exact_dual": 256}
     with pytest.raises(KeyError):
         cli._channel_elements(UnitaryChannel(np.eye(8), d_b=2), 10, "row_blocks")
+    # a distance table prices the rows and the exact dual only when its
+    # largest cell is dense, N + r >= d; below that, the r-square draw gram
+    iso = KrausChannel(np.zeros((1, 128, 64)))
+    below = {"kraus_stack": 8192, "kraus_gram": 64**2, "haar_draws": 8190, "draw_gram": 1}
+    assert cli._channel_elements(iso, 8190, "distances") == below
+    dense = cli._channel_elements(iso, 8191, "distances")
+    assert (dense["state_rows"], dense["exact_dual"]) == (8191 * 8192, 8192**2) and "draw_gram" not in dense
     # 4 -> 1 with r = 4: the environment draws are r = 4 wide, as the rows are
     draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10, "state_rows")
     assert draws["haar_draws"] == draws["state_rows"] == 40
@@ -773,10 +781,12 @@ def test_budget_boundary_and_force():
 def priced_inputs(tmp_path_factory):
     """Channels and observables for the commands whose old prices refused
     them: a 256 -> 8 Kraus channel with r = 32 (once completed to an 8192 x
-    8192 unitary), 256 -> 32 and 256 -> 16 unitaries (exact duals 8192 and
-    4096 square), and a 4 -> 2 unitary."""
+    8192 unitary), a 256 -> 64 Kraus channel with r = 4 (exact dual 16384
+    square), 256 -> 32 and 256 -> 16 unitaries (exact duals 8192 and 4096
+    square), and a 4 -> 2 unitary."""
     d = tmp_path_factory.mktemp("priced")
     save_channel(random_kraus_channel(np.random.default_rng(70), 256, 8, 32), str(d / "kraus256.json"))
+    save_channel(random_kraus_channel(np.random.default_rng(71), 256, 64, 4), str(d / "kraus256-64.json"))
     for d_a, d_b in ((256, 32), (256, 16), (4, 2)):
         save_channel(UnitaryChannel(haar_unitary(d_a, d_b), d_b=d_b), str(d / f"unitary{d_a}-{d_b}.json"))
         (d / f"a{d_a}.json").write_text(mat_json(random_hermitian(np.random.default_rng(d_a), d_a)))
@@ -789,6 +799,8 @@ def priced_inputs(tmp_path_factory):
     [
         ["inspect", "kraus256.json"],
         ["dual-distance", "kraus256.json", "--n-values", "200", "--trials", "1"],
+        # every N + r < d = 16384: the cells read a 4 x 4 gram of the draws, no rows
+        ["dual-distance", "kraus256-64.json", "--n-values", "10,50,100,500", "--trials", "2"],
         ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
          "--n-samples", "200"],
         ["estimate", "unitary256-32.json", "--observable-a", "a256.json", "--observable-b", "b32.json",
@@ -799,13 +811,14 @@ def priced_inputs(tmp_path_factory):
         ["otoc", "unitary4-2.json", "--observable-a", "a4.json", "--observable-b", "b2.json",
          "--pairs", "20000", "--pairing", "all"],
     ],
-    ids=["inspect-dilation", "dual-distance-kraus", "estimate-exact-dual", "estimate-rows", "otoc-rows",
-         "all-pairs-overlaps"],
+    ids=["inspect-dilation", "dual-distance-kraus", "dual-distance-below-split", "estimate-exact-dual",
+         "estimate-rows", "otoc-rows", "all-pairs-overlaps"],
 )  # fmt: skip
 def test_channel_commands_run_where_the_old_price_refused(argv, priced_inputs, tmp_path):
     # each exited 3 while its command priced an array it never builds: the
     # 8192^2 dilation (twice: to inspect, and to sample draws of r = 32
-    # entries), the 8192^2 exact dual, 2049 rows of 8192 entries (one row
+    # entries), the 16384^2 exact dual and rows of a table with no dense
+    # cell, the 8192^2 exact dual, 2049 rows of 8192 entries (one row
     # past the budget), 4098 rows of 4096 entries (2^28.0 bytes, one pair
     # past the budget) and the pair-overlap block
     argv = [str(priced_inputs / a) if a.endswith(".json") else a for a in argv]

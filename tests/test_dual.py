@@ -760,22 +760,29 @@ def test_distance_table_cells_and_checks():
 
 @pytest.mark.parametrize("n_values, dense_cells", [([5, 20], 0), ([5, 40, 60], 4)])
 def test_distance_table_forms_exact_dual_once(monkeypatch, n_values, dense_cells):
-    # unitary 16 -> 2: d = 32, r = 8, so N = 5 and 20 take the QR branch
+    # unitary 16 -> 2: d = 32, r = 8, so N = 5 and 20 lie below the split
     ch = random_unitary_channel(16, 2, np.random.default_rng(38))
-    formed = []
-    real = dual._distance_report
+    formed, subtracted = [], []
+    real_exact, real_estimate, real_report = dual.exact_dual, dual.dual_estimate, dual._distance_report
 
-    def spy(ens, w, exact):
-        def counted():
-            formed.append(exact())
-            return formed[-1]
+    def exact_spy(c):
+        formed.append(real_exact(c))
+        return formed[-1]
 
-        return real(ens, w, counted)
+    def report_spy(ens, tri, exact):
+        def estimate_spy(e):  # the dense branch: record the exact dual it subtracts
+            subtracted.append(exact)
+            return real_estimate(e)
 
-    monkeypatch.setattr(dual, "_distance_report", spy)
+        monkeypatch.setattr(dual, "dual_estimate", estimate_spy)
+        return real_report(ens, tri, exact)
+
+    monkeypatch.setattr(dual, "exact_dual", exact_spy)
+    monkeypatch.setattr(dual, "_distance_report", report_spy)
     rows = distance_table(ch, n_values, trials=2, seed=39)
-    assert len(formed) == dense_cells
-    assert all(m is formed[0] for m in formed)
+    assert len(formed) == min(dense_cells, 1)
+    assert len(subtracted) == dense_cells
+    assert all(m is formed[0] for m in subtracted)
     monkeypatch.undo()
     for row in rows:
         i = n_values.index(row["N"])
@@ -838,15 +845,29 @@ def test_exact_dual_state_bits_unchanged():
     assert np.array_equal(exact_dual(ch), w @ w.conj().T)
 
 
-@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing"])
+@pytest.mark.parametrize(
+    "kind", ["unitary", "kraus", "dilated", "depolarizing", "kraus rank-deficient", "partial trace"]
+)
 def test_distance_report_matches_dense_distances(kind):
-    ch = _every_channel_kind()[kind]
+    # "kraus" is 8 -> 4 with r = 3: nu = 3/2, rows normalized only in
+    # expectation; "kraus rank-deficient" repeats one operator as two copies
+    # scaled by 1/sqrt(2), so W^dag W is singular and has no Cholesky factor
+    k = random_kraus_channel(np.random.default_rng(53), 8, 4, 2).operators
+    ch = {
+        **_every_channel_kind(),
+        "kraus rank-deficient": KrausChannel(np.array([k[0], k[0], np.sqrt(2) * k[1]]) / np.sqrt(2)),
+        "partial trace": PartialTrace(16, 4),  # r = d_c = 4 < d = 64
+    }[kind]
     exact = dual_from_choi(choi_matrix(ch))
     d, r = exact.shape[0], exact_dual_factor(ch).shape[1]
-    # N + r on both sides of d picks the QR and the dense branch in turn
-    for n in sorted({1, *(m - r for m in (d - 1, d, d + 1) if m > r)}):
+    if kind == "kraus rank-deficient":
+        assert np.linalg.matrix_rank(exact) == 2 < r
+    # N = 1, N < r, and N + r on both sides of d pick each branch in turn
+    for n in sorted(n for n in {1, r - 1, d - r - 1, d - r, d - r + 1} if n >= 1):
         ens = dual_ensemble(ch, n, master_seed=43 + n)
         rep = distance_report(ens)
+        # below the split the distances read the draws only
+        assert ("states" in vars(ens)) == (n + r >= d)
         est = dual_estimate(ens)
         hs, td = hs_distance(est, exact), trace_distance(est, exact)
         assert abs(rep.hs_distance - hs) <= 1e-12 * hs

@@ -14,7 +14,10 @@ one, `inspect` of the Kraus and the unitary input, a `dual-distance` of a
 rectangular 8 -> 4 Kraus channel with 3 operators (workloads.random_kraus
 at SEED; both workload Kraus inputs are square, r d_b = d_a, so this is
 the one whose rows are normalized only in expectation; N = 10, 50, two
-trials, seed SEED),
+trials, seed SEED), a `dual-distance` of a 256 -> 64 Kraus channel with 4
+operators (workloads.random_kraus at SEED; d_b d_a = 16384, so every cell
+of N = 10, 50, 100, 500 lies below the dense split and the table runs
+without --force; two trials, seed SEED),
 two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
 on none, output on the first 2), a `scaling` run of an odd chain at
 non-default fields (7 spins, input on the first 3, output on the first 2,
@@ -66,6 +69,13 @@ def main(seed: int) -> None:
             "--n-values", "10,50", "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
         ]  # fmt: skip
         run("dual-distance-rect", argv, out / "distances.csv")
+        wide = workloads.random_kraus(np.random.default_rng(seed), 256, 64, 4)
+        out = work / "dual-distance-wide"
+        argv = [
+            "dual-distance", workloads.write_kraus(work / "kraus_wide.json", wide),
+            "--n-values", "10,50,100,500", "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("dual-distance-wide", argv, out / "distances.csv")
         out = work / "otoc-all"
         argv = [
             "otoc", str(work / "unitary.json"),

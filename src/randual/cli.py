@@ -189,12 +189,13 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
     d_a x d_a Gram, or U^dag U for a channel that carries a unitary. Sampling
     draws n_rows vectors on the environment of the channel's minimal
     Stinespring isometry, d_env = r entries for a Kraus stack; formed names
-    what the command builds from them: state_rows, exact_dual,
-    quadratic_form (the d_b x d_env x d_env products a dense A sums into its
-    d_env-square form) or distances, a distance table of at most n_rows
-    samples per cell: a dense cell (N + d_env >= d_b d_a) forms the rows and
-    the exact dual, a cell below it only the d_env-square draw gram and W,
-    which is the Kraus stack's size or fits in the unitary.
+    what the command builds from them: exact_dual, quadratic_form (the
+    d_b x d_env x d_env products a dense A sums into its d_env-square form)
+    or distances, a distance table of at most n_rows samples per cell: a
+    dense cell (N + d_env >= d_b d_a) forms the exact dual, the d x d
+    estimate of the same size and at most two d x min(N, d_env) estimator
+    factors on the way to it, a cell below it only the d_env-square draw
+    gram and W, which is the Kraus stack's size or fits in the unitary.
     """
     d_env, d = dilation_dim(ch) // ch.d_b, ch.d_b * ch.d_a
     if isinstance(ch, KrausChannel):
@@ -203,9 +204,9 @@ def _channel_elements(ch, n_rows: int = 0, *formed: str) -> dict[str, int]:
         elements = {"unitary": ch.d_u * ch.d_u}
     if n_rows:
         elements["haar_draws"] = n_rows * d_env
-    sizes = {"state_rows": n_rows * d, "exact_dual": d * d, "draw_gram": d_env * d_env}
+    sizes = {"exact_dual": d * d, "estimator_factor": d * min(n_rows, d_env), "draw_gram": d_env * d_env}
     sizes["quadratic_form"] = ch.d_b * d_env * d_env
-    distances = ("state_rows", "exact_dual") if _dense_cell(n_rows, ch) else ("draw_gram",)
+    distances = ("exact_dual", "estimator_factor") if _dense_cell(n_rows, ch) else ("draw_gram",)
     formed = [name for f in formed for name in (distances if f == "distances" else (f,))]
     return elements | {name: sizes[name] for name in formed}
 
@@ -363,10 +364,12 @@ def cmd_scaling(args: argparse.Namespace) -> None:
     # the split sets the sizes, so it is checked before they are priced
     if not (0 <= n_a <= args.n and 1 <= args.nb <= args.n):
         raise ValidationFailure(f"need 0 <= na <= n and 1 <= nb <= n, got na={n_a}, nb={args.nb}, n={args.n}")
+    # the d x d distance matrices, the estimator's d x d_env factors and
+    # the d_env-square draw gram, d = 2^(na+nb) and d_env = 2^(n-nb), all fit
+    # in the dense matrix
     _check_budget(
         args.force,
         dense_matrix=4 ** max(args.n, n_a + args.nb),
-        state_rows=max(args.n_values) * 2 ** (n_a + args.nb),
         haar_draws=max(args.n_values) * 2 ** (args.n - args.nb),
     )
     rows = distance_scaling_experiment(

@@ -41,8 +41,8 @@ sqrt(r) W psi_k, so
 
 When N + r < d_b d_a, its nonzero eigenvalues are those of the r-square
 R (r Q - I) R^dag, R the triangular factor of a QR of W: O(N r^2 + r^3)
-work on the draws, with no row formed; otherwise the d x d difference is
-formed.
+work on the draws; otherwise the d x d difference is formed, its
+estimator from the draws too.
 
 dual_ensemble samples every channel kind through its minimal Stinespring
 isometry V, (d_b, d_e, d_a) (channels.stinespring_dilate): psi is Haar on
@@ -52,10 +52,11 @@ its ancilla-0 columns (d_e = d_c); a KrausChannel's is its own stack
 (d_e = r), with no unitary completed around it. Unless V is square
 (nu = 1, a unitary-induced channel or a Kraus stack of r d_b = d_a), the
 rows are normalized only in expectation but average to the exact dual.
-Ensembles keep the Haar draws: rows are formed on first use, by the
-rank-N estimator and so by a dense distance cell; observables read the
-draws through their quadratic form M, and the OTOC through its d_c x d_c
-matrix G (randual.otoc), which is M for B = |m><m|.
+Ensembles keep the Haar draws, and every reading starts from them: the
+rank-N estimator is (nu / (d_b N)) V^dag (P^T conj(P)) V for the draws P,
+observables read the draws through their quadratic form M, and the OTOC
+through its d_c x d_c matrix G (randual.otoc), which is M for
+B = |m><m|. The rows themselves are formed only when ens.states is read.
 """
 from __future__ import annotations
 
@@ -65,7 +66,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Channel, KrausChannel, _isometry, dilation_dim, kind_of, kraus_operators, stinespring_dilate
+from .channels import Channel, KrausChannel, PartialTrace, _isometry, dilation_dim, kind_of, kraus_operators
+from .channels import stinespring_dilate
 from .linalg import assert_hermitian
 from .rng import SeedSpec, child_seed, haar_state
 
@@ -85,9 +87,10 @@ class DualStateEnsemble:
 
     Construction reads V off the channel, for a KrausChannel by one
     stinespring_dilate; states, the (N, d_b * d_a) rows, is formed on first
-    access and kept. A unitary-induced channel gives unitary_induced unit
-    rows; any other channel general_postselected rows, normalized in
-    expectation only. d_a, d_b and kind are read off the channel.
+    access and kept, for reference: the estimators read the draws. A
+    unitary-induced channel gives unitary_induced unit rows; any other
+    channel general_postselected rows, normalized in expectation only. d_a,
+    d_b and kind are read off the channel.
     """
 
     draws: np.ndarray
@@ -125,17 +128,20 @@ class DualStateEnsemble:
     def _nu(self) -> float:  # d_env d_b / d_a: 1 for a square V, a UnitaryChannel's ancilla dimension
         return self.draws.shape[1] * self.d_b / self.d_a
 
+    def _columns(self) -> np.ndarray:
+        """V, (d_b, d_env, d_a): _cols, or a PartialTrace's identity columns, formed here."""
+        return np.eye(self.d_a, dtype=complex).reshape(self.d_b, -1, self.d_a) if self._cols is None else self._cols
+
     @functools.cached_property
     def states(self) -> np.ndarray:
-        """Rows (I (x) V^dag)(|phi+> (x) |psi_k>), V = _cols read as (d_b, d_env, d_a).
+        """Rows (I (x) V^dag)(|phi+> (x) |psi_k>), V = _columns() read as (d_b, d_env, d_a).
 
         |phi+> (x) |psi> is delta_{rs} psi[e] / sqrt(d_b) at column (s, e), so
         row block r is sum_e psi[e] conj(V[r, e, :]) / sqrt(d_b): one GEMM per
         output index, N d_env d_a work each. Rows of a V that is not square
-        get sqrt(nu). A PartialTrace's identity columns are formed here.
+        get sqrt(nu).
         """
-        cols = np.eye(self.d_a, dtype=complex).reshape(self.d_b, -1, self.d_a) if self._cols is None else self._cols
-        blocks = np.matmul(self.draws.conj(), cols)
+        blocks = np.matmul(self.draws.conj(), self._columns())
         np.conjugate(blocks, out=blocks)
         blocks /= np.sqrt(self.d_b)
         if self._nu != 1:
@@ -212,14 +218,21 @@ def exact_dual(ch: Channel) -> np.ndarray:
 
 
 def dual_estimate(ens: DualStateEnsemble) -> np.ndarray:
-    """Rank-N estimator (1/N) sum_k |Psi_k><Psi_k|, as one GEMM.
+    """Rank-N estimator (1/N) sum_k |Psi_k><Psi_k|, read off the draws.
 
+    Row k is sqrt(nu / d_b) P_k conj(V), P = ens.draws and V the isometry
+    read as (d_env, d_b d_a), so the estimator is
+    (nu / (d_b N)) V^dag (P^T conj(P)) V. One multi_dot picks the
+    association with fewer flops: through the d_env-square Gram of the
+    draws once N >= d_env, through the N rows when N is well below d_env;
+    ens.states is never formed.
     Bitwise reproducible for a given seed in a fixed environment, including
     the BLAS thread count: the summation order is the BLAS kernel's.
     """
-    s = ens.states
-    est = s.T @ s.conj()
-    est /= ens.n_samples
+    p = ens.draws
+    v = ens._columns().transpose(1, 0, 2).reshape(p.shape[1], -1)
+    est = np.linalg.multi_dot([v.conj().T, p.T, p.conj(), v])
+    est *= ens._nu / (ens.d_b * ens.n_samples)
     return est
 
 
@@ -397,13 +410,23 @@ def distance_report(ens: DualStateEnsemble) -> DistanceReport:
     r x r Gram (1/N) draws^T conj(draws); both distances are norms of its
     eigenvalues. When N + r < d_b d_a they are those of R (r Q - I) R^dag,
     R the r x r factor of a QR of W (a Cholesky of W^dag W would fail on a
-    rank-deficient W), and ens.states is never read; otherwise the d x d
-    difference dual_estimate(ens) - W W^dag is formed directly.
+    rank-deficient W); otherwise the d x d difference
+    dual_estimate(ens) - W W^dag is formed, from the draws too. ens.states
+    is never read.
     """
     ch = ens.channel
     if _dense_cell(ens.n_samples, ch):
         return _distance_report(ens, None, exact_dual(ch))
-    return _distance_report(ens, np.linalg.qr(exact_dual_factor(ch), mode="r"), None)
+    return _distance_report(ens, _triangular_factor(ch), None)
+
+
+def _triangular_factor(ch: Channel) -> np.ndarray | float:
+    """R, the r x r factor of a QR of W = exact_dual_factor(ch). A PartialTrace's
+    W has orthogonal columns of norm sqrt(d_b / d_a): R is that number times
+    signs, which leave every distance as it is, so no W or identity is formed."""
+    if isinstance(ch, PartialTrace):
+        return float(np.sqrt(ch.d_b / ch.d_a))
+    return np.linalg.qr(exact_dual_factor(ch), mode="r")
 
 
 def _dense_cell(n_samples: int, ch: Channel) -> bool:
@@ -412,10 +435,13 @@ def _dense_cell(n_samples: int, ch: Channel) -> bool:
     return n_samples + dilation_dim(ch) // ch.d_b >= ch.d_b * ch.d_a
 
 
-def _distance_report(ens: DualStateEnsemble, tri: np.ndarray | None, exact: np.ndarray | None) -> DistanceReport:
-    """distance_report given tri = R, W's r x r triangular factor, for a cell
-    below the split, or exact = W W^dag for a dense cell. Both are only
-    read, so one of each can serve every cell of a table."""
+def _distance_report(
+    ens: DualStateEnsemble, tri: np.ndarray | float | None, exact: np.ndarray | None
+) -> DistanceReport:
+    """distance_report given tri = _triangular_factor, R or the number that
+    stands for it, for a cell below the split, or exact = W W^dag for a
+    dense cell. Both are only read, so one of each can serve every cell of
+    a table."""
     n = ens.n_samples
     if _dense_cell(n, ens.channel):
         diff = dual_estimate(ens)
@@ -425,7 +451,7 @@ def _distance_report(ens: DualStateEnsemble, tri: np.ndarray | None, exact: np.n
         gram = p.T @ p.conj()
         gram *= p.shape[1] / n
         gram.flat[:: p.shape[1] + 1] -= 1.0
-        diff = tri @ gram @ tri.conj().T
+        diff = tri @ gram @ tri.conj().T if np.ndim(tri) else np.multiply(gram, tri * tri, out=gram)
     lam = np.linalg.eigvalsh(diff)
     return DistanceReport(
         hs_distance=float(np.linalg.norm(lam)),
@@ -451,7 +477,7 @@ def distance_table(ch: Channel, n_values: list[int], trials: int, seed: int) -> 
     if not n_values or min(n_values) < 1:
         raise ValueError("n_values must be positive sample counts")
     exact = exact_dual(ch) if _dense_cell(max(n_values), ch) else None
-    tri = None if _dense_cell(min(n_values), ch) else np.linalg.qr(exact_dual_factor(ch), mode="r")
+    tri = None if _dense_cell(min(n_values), ch) else _triangular_factor(ch)
     rows = []
     for i, n_samples in enumerate(n_values):
         for trial in range(trials):

@@ -21,6 +21,7 @@ SeedSequence.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ _CHILD_TAG = 0x5EED
 _MASK32, _POOL, _BLOCK = 0xFFFFFFFF, 4, 4096
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+# Philox's starting counter as a ready uint64 array, which Philox copies:
+# one read-only array serves every stream, and counter=0 is never converted.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class SeedSpec:
     def rng(self) -> np.random.Generator:
         block, j = divmod(self.sample_index, _BLOCK)
         key = _key_block(self.master_seed, block)[j]
-        return np.random.Generator(np.random.Philox(_philox_key_type()(key)))
+        return np.random.Generator(np.random.Philox(_philox_key_type()(key), counter=_ZERO_COUNTER))
 
 
 def _words(n: int) -> list[int]:
@@ -130,7 +136,7 @@ def _philox_key_type() -> type:
             self.key = key
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or np.dtype(dtype) != np.uint64:
+            if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 raise ValueError("holds one Philox key: generate_state(2, np.uint64) only")
             return self.key
 
@@ -175,10 +181,13 @@ def haar_state(d: int, seed) -> np.ndarray:
         raise ValueError("dimension must be positive")
     g = _as_generator(seed).standard_normal(2 * d)
     v = np.empty(d, dtype=complex)
-    v.real = g[:d]
-    v.imag = g[d:]
-    # np.linalg.norm's own expression for a complex vector, minus its dispatch
-    v /= np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+    re, im = v.real, v.imag
+    re[...] = g[:d]
+    im[...] = g[d:]
+    # np.linalg.norm's expression for a complex vector, minus its dispatch; complex / real
+    # divides as (a (1/s), b (1/s)), so scaling the float view by 1/s gives the same bits
+    flat = v.view(np.float64)
+    flat *= 1.0 / math.sqrt(re.dot(re) + im.dot(im))
     return v
 
 

@@ -412,3 +412,11 @@ def dense_values_oracle(ens, a, b):
     s = ens.states.reshape(ens.n_samples, ens.d_b, ens.d_a)
     vals = np.einsum("kri,sr,ij,ksj->k", s.conj(), b, a, s, optimize=True)
     return ens.d_a * vals.real
+
+
+def rows_estimate_oracle(ens):
+    """Rank-N estimator (1/N) sum_k |Psi_k><Psi_k| as one GEMM over the full
+    rows ens.states: the reference for dual_estimate, which reads the
+    draws. Forms the rows."""
+    s = ens.states
+    return s.T @ s.conj() / ens.n_samples

@@ -637,11 +637,17 @@ def test_budget_refuses_before_allocating(argv, no_allocation, depol_file, tmp_p
         # exactly the budget in Haar draws: 2^15 x 2^9 and 2^13 x 2^11 entries
         (["thermalize", "--n", "10", "--pol", "z", "--n-samples", "32768", "--t-max", "0"], 0),
         (["scaling", "--n", "12", "--na", "1", "--nb", "1", "--n-values", "8192"], 0),
+        # no state rows: 40000 x 2^9 of them would take 2^28.3 bytes; the
+        # 40000 x 2^7 draws take 2^26.3, 2^17 of them exactly the budget
+        (["scaling", "--n", "8", "--nb", "1", "--n-values", "40000", "--trials", "1"], 0),
+        (["scaling", "--n", "8", "--nb", "1", "--n-values", "131072"], 0),
+        (["scaling", "--n", "8", "--nb", "1", "--n-values", "131073"], 3),
     ],
     ids=["12-sites", "13-sites-forced", "13-sites", "16-sites", "17-sites", "17-sites-forced",
          "scaling-11-sites", "scaling-13-sites",
          "scaling-13-sites-forced", "split-out-of-range", "thermalize-draws-at-budget",
-         "scaling-draws-at-budget"],
+         "scaling-draws-at-budget", "scaling-40000-samples", "scaling-8-sites-at-budget",
+         "scaling-8-sites-past-budget"],
 )  # fmt: skip
 def test_budget_prices_chain_sizes(argv, code, monkeypatch, tmp_path):
     # the experiments are stubbed, so only the pricing runs at these sizes
@@ -740,15 +746,20 @@ def test_thermalize_holds_no_identity(tmp_path):
     assert peak < 64 * 2**20
 
 def test_budget_boundary_and_force():
-    # 64 Kraus operators 64 -> 64: draws of r = 64 entries, no unitary, and
-    # 4096 rows of d_b * d_a = 4096 entries, exactly MAX_UNFORCED_BYTES
+    # 64 Kraus operators 64 -> 64: draws of r = 64 entries, no unitary;
+    # 2^18 of them are exactly MAX_UNFORCED_BYTES
     ch = KrausChannel(np.zeros((64, 64, 64)))
-    elements = cli._channel_elements(ch, 4096, "state_rows")
-    assert elements == {"kraus_stack": 64**3, "kraus_gram": 64**2,
-                        "haar_draws": 4096 * 64, "state_rows": 4096 * 64 * 64}  # fmt: skip
+    elements = cli._channel_elements(ch, 2**18)
+    assert elements == {"kraus_stack": 64**3, "kraus_gram": 64**2, "haar_draws": 2**18 * 64}
     cli._check_budget(False, **elements)
-    with pytest.raises(cli.ResourceCapError, match="state rows"):
-        cli._check_budget(False, **cli._channel_elements(ch, 4097, "state_rows"))
+    with pytest.raises(cli.ResourceCapError, match="haar draws"):
+        cli._check_budget(False, **cli._channel_elements(ch, 2**18 + 1))
+    # its dense distance cells (N + r >= d = 4096) hold the 4096-square exact
+    # dual and estimate, exactly the budget, and 4096 x min(N, r) estimator
+    # factors; no N x d rows
+    dense = cli._channel_elements(ch, 4032, "distances")
+    assert dense == elements | {"haar_draws": 4032 * 64, "exact_dual": 4096**2, "estimator_factor": 4096 * 64}
+    cli._check_budget(False, **dense)
     # validation alone: a Kraus channel copies its stack and forms its Gram,
     # a unitary-carrying one forms U^dag U; no dilation is built
     assert cli._channel_elements(ch) == {"kraus_stack": 64**3, "kraus_gram": 64**2}
@@ -764,10 +775,9 @@ def test_budget_boundary_and_force():
     below = {"kraus_stack": 8192, "kraus_gram": 64**2, "haar_draws": 8190, "draw_gram": 1}
     assert cli._channel_elements(iso, 8190, "distances") == below
     dense = cli._channel_elements(iso, 8191, "distances")
-    assert (dense["state_rows"], dense["exact_dual"]) == (8191 * 8192, 8192**2) and "draw_gram" not in dense
+    assert (dense["estimator_factor"], dense["exact_dual"]) == (8192, 8192**2) and "draw_gram" not in dense
     # 4 -> 1 with r = 4: the environment draws are r = 4 wide, as the rows are
-    draws = cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10, "state_rows")
-    assert draws["haar_draws"] == draws["state_rows"] == 40
+    assert cli._channel_elements(KrausChannel(np.zeros((4, 1, 4))), 10)["haar_draws"] == 40
     # a dense A sums d_b x r x r products into its r-square form
     assert cli._channel_elements(KrausChannel(np.zeros((6, 2, 3))), 1, "quadratic_form")["quadratic_form"] == 72
     with pytest.raises(cli.ResourceCapError, match="dense matrix"):

@@ -51,6 +51,7 @@ from helpers import (
     random_hermitian,
     random_kraus_channel,
     random_unitary_channel,
+    rows_estimate_oracle,
     sample_dual_state,
     seedsequence_rng,
     trace_distance,
@@ -866,13 +867,52 @@ def test_distance_report_matches_dense_distances(kind):
     for n in sorted(n for n in {1, r - 1, d - r - 1, d - r, d - r + 1} if n >= 1):
         ens = dual_ensemble(ch, n, master_seed=43 + n)
         rep = distance_report(ens)
-        # below the split the distances read the draws only
-        assert ("states" in vars(ens)) == (n + r >= d)
+        # on both sides of the split the distances read the draws only
+        assert "states" not in vars(ens)
         est = dual_estimate(ens)
         hs, td = hs_distance(est, exact), trace_distance(est, exact)
         assert abs(rep.hs_distance - hs) <= 1e-12 * hs
         assert abs(rep.trace_distance - td) <= 1e-12 * td
         assert rep.bound == 1.0 / np.sqrt(n) and rep.n_samples == n
+
+
+@pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "depolarizing", "partial trace"])
+@pytest.mark.parametrize("side", ["N < d_env", "N > d_env"])
+def test_dual_estimate_reads_the_draws(kind, side):
+    # multi_dot runs through the N rows at N = d_env / 2 (or 1) and through
+    # the d_env-square Gram of the draws at N = 3 d_env, fewer flops each
+    # time; both match the rows' GEMM
+    ch = {**_every_channel_kind(), "partial trace": PartialTrace(16, 4)}[kind]
+    d_env = dilation_dim(ch) // ch.d_b
+    n = max(1, d_env // 2) if side == "N < d_env" else 3 * d_env
+    ens = dual_ensemble(ch, n, master_seed=54)
+    est = dual_estimate(ens)
+    assert "states" not in vars(ens)
+    want = rows_estimate_oracle(ens)
+    assert np.abs(est - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_partial_trace_distance_forms_no_identity():
+    # below the split R is sqrt(d_b / d_a) times a sign diagonal: the 2^11
+    # identity behind W (64 MiB, and 192 MiB at the peak of the QR path) is
+    # never formed
+    ens = dual_ensemble(PartialTrace(2**11, 2), 10, master_seed=55)
+    tracemalloc.start()
+    try:
+        rep = distance_report(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert rep.n_samples == 10 and 0 < rep.hs_distance <= 2 * rep.trace_distance
+    # at a size where the QR of W runs, both readings agree
+    ch = PartialTrace(16, 4)
+    tri = np.linalg.qr(exact_dual_factor(ch), mode="r")
+    for n in (1, 3, 20):
+        ens = dual_ensemble(ch, n, master_seed=56 + n)
+        want, got = dual._distance_report(ens, tri, None), distance_report(ens)
+        assert abs(got.hs_distance - want.hs_distance) <= 1e-12 * want.hs_distance
+        assert abs(got.trace_distance - want.trace_distance) <= 1e-12 * want.trace_distance
 
 
 def test_distance_report_vanishes_for_rank_one_dual():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from randual.rng import SeedSpec, _key_block, _master_pool, child_seed, haar_state, haar_unitary
+from randual.rng import _ZERO_COUNTER, SeedSpec, _key_block, _master_pool, child_seed, haar_state, haar_unitary
 
 from helpers import assert_same_stream, haar_second_moment, random_hermitian, seedsequence_rng
 
@@ -36,6 +36,23 @@ def test_seedspec_stream_holds_only_its_key():
         g.bit_generator.seed_seq.generate_state(4, np.uint32)
     with pytest.raises(TypeError):
         g.spawn(1)
+
+
+def test_zero_counter_is_read_only_and_stays_zero():
+    # every stream starts Philox from one shared uint64 array, which Philox
+    # copies; a stream that wrote to it would shift every later one
+    assert _ZERO_COUNTER.dtype == np.uint64 and not _ZERO_COUNTER.flags.writeable
+    with pytest.raises(ValueError):
+        _ZERO_COUNTER[0] = 1
+    for k in range(10_000):
+        g = SeedSpec(8, k).rng()
+        g.standard_normal(4)
+    assert g.bit_generator.state["state"]["counter"][0] > 0
+    assert np.array_equal(_ZERO_COUNTER, np.zeros(4, dtype=np.uint64))
+    assert_same_stream(SeedSpec(8, 9999).rng(), seedsequence_rng(8, 9999))
+    # the key is handed over for any spelling of the uint64 dtype
+    for dtype in (np.uint64, "u8", np.dtype(np.uint64)):
+        assert SeedSpec(8, 1).rng().bit_generator.seed_seq.generate_state(2, dtype).dtype == np.uint64
 
 
 def test_key_table_is_read_only_and_cache_is_bounded():
@@ -105,7 +122,7 @@ def test_haar_state_norm_and_determinism():
         haar_state(0, 1)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 17, 64, 255, 512, 1024, 4096])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 17, 64, 255, 512, 1024, 4096, 32768])
 def test_haar_state_bits_match_two_draw_form(d):
     # real parts then imaginary parts, as two consecutive d-wide draws
     for k in range(5):

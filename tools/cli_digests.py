@@ -17,7 +17,11 @@ the one whose rows are normalized only in expectation; N = 10, 50, two
 trials, seed SEED), a `dual-distance` of a 256 -> 64 Kraus channel with 4
 operators (workloads.random_kraus at SEED; d_b d_a = 16384, so every cell
 of N = 10, 50, 100, 500 lies below the dense split and the table runs
-without --force; two trials, seed SEED),
+without --force; two trials, seed SEED), a `dual-distance` of an 8 -> 2
+Kraus channel with 12 operators (workloads.random_kraus at SEED;
+d_b d_a = 16, so both cells are dense, and the estimator runs through the
+rows at N = 4 < r and through the draw Gram at N = 50; two trials, seed
+SEED),
 two `scaling` runs of the dilated chain (8 spins, input on the first 4 or
 on none, output on the first 2), a `scaling` run of an odd chain at
 non-default fields (7 spins, input on the first 3, output on the first 2,
@@ -76,6 +80,13 @@ def main(seed: int) -> None:
             "--n-values", "10,50,100,500", "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
         ]  # fmt: skip
         run("dual-distance-wide", argv, out / "distances.csv")
+        dense = workloads.random_kraus(np.random.default_rng(seed), 8, 2, 12)
+        out = work / "dual-distance-dense"
+        argv = [
+            "dual-distance", workloads.write_kraus(work / "kraus_dense.json", dense),
+            "--n-values", "4,50", "--trials", "2", "--seed", str(seed), "--output-dir", str(out),
+        ]  # fmt: skip
+        run("dual-distance-dense", argv, out / "distances.csv")
         out = work / "otoc-all"
         argv = [
             "otoc", str(work / "unitary.json"),
